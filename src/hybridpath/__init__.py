@@ -19,11 +19,11 @@ from .instance import (DEFAULT_QUANTIZATION, EdgeParams, FormatError,
 from .heuristics import HeuristicTable, make_table, sld_table, sup_path, \
     sup_table, zero_table
 from .labeling import (Label, OpenList, SolveResult, SolveStats,
-                       SolverConfig, dominates, extend, solve)
+                       SolverConfig, extend, solve)
 from .verify import (MilpImportError, MilpModel, OracleBudgetError,
                      OracleResult, build_milp, check_substitution,
-                     export_milp, import_milp_solution, oracle_solve)
-from .generators import GenSpec, gen_euclidean, gen_lattice, generate
+                     import_milp_solution, oracle_solve)
+from .generators import GenSpec, generate
 
 __version__ = "0.1.0"
 
@@ -33,8 +33,7 @@ __all__ = [
     "MilpImportError", "MilpModel", "OpenList", "OracleBudgetError",
     "OracleResult", "Solution", "SolveResult", "SolveStats", "SolverConfig",
     "build_milp", "build_solution", "check_solution", "check_substitution",
-    "dominates", "dumps", "export_milp", "extend", "gen_euclidean",
-    "gen_lattice", "generate", "import_milp_solution", "load", "loads",
+    "dumps", "extend", "generate", "import_milp_solution", "load", "loads",
     "make_table", "oracle_solve", "path_cost", "replay", "save",
     "sld_table", "solution_dumps", "solution_loads", "solve", "sup_path",
     "sup_table", "validate", "zero_table",

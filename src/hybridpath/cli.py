@@ -1,33 +1,8 @@
 """Command-line harness: generate suites, solve, benchmark, verify, export.
 
-Subcommands
------------
-generate    expand a manifest of generator specs into instance files
-solve       solve one instance file, write the solution JSON
-bench       run a config matrix over a suite directory, emit a CSV
-verify      cross-check solver against the exhaustive oracle (and MILP)
-export-milp write the LP formulation of one instance
-
-Exit codes are a stable contract: 0 solved/ok, 2 infeasible, 3 limit hit,
-1 any other error (bad usage, I/O, mismatch).
-
-A generate manifest is JSON: {"name": ..., "defaults": {...},
-"instances": [{"id": ..., <GenSpec field overrides>}, ...]}.  Every field
-of GenSpec may appear in defaults or per instance; each instance needs a
-unique id.  The expanded suite directory gets one <id>.json per instance
-plus suite.json recording the fully resolved spec of each (rerunning
-generate on the same manifest reproduces every file byte for byte).
-
-Benchmark CSVs carry one row per (instance, selection, heuristic) run,
-sorted by (family, n_nodes, selection, heuristic, id).  Cost and label
-count columns are deterministic for a fixed suite; wall_time and
-table_time columns are not.  --aggregate additionally writes per-cell
-medians and quartiles, the numbers behind the usual runtime-vs-size
-plots.  Solve wall time excludes heuristic table construction, which is
-reported separately (the SUP table costs a Dijkstra sweep of its own).
-
-The default output directory for files this tool writes is
-$HYBRIDPATH_OUT_DIR when set, else the current directory.
+The subcommands, exit codes, output locations and the manifest and CSV
+formats are documented in the README (sections "Command line" and "File
+formats").
 """
 
 from __future__ import annotations
@@ -429,8 +404,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export_milp(args) -> int:
     instance = load(args.instance)
-    text = verify.export_milp(instance, big_m_mode=args.big_m,
-                              literal=args.literal_milp)
+    text = verify.build_milp(instance).render()
     if args.out:
         out_path = Path(args.out)
     else:
@@ -496,9 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-milp", help="write the LP formulation")
     p.add_argument("instance")
     p.add_argument("--out", default=None, help="LP path")
-    p.add_argument("--big-m", choices=("auto", "global"), default="auto")
-    p.add_argument("--literal-milp", action="store_true",
-                   help="reproduce the uncorrected textbook rows")
     p.set_defaults(func=cmd_export_milp)
     return parser
 

@@ -1,10 +1,11 @@
 """Seeded instance generators for the two benchmark families.
 
-``gen_euclidean`` scatters points uniformly in the unit square or cube and
-joins each to its k nearest neighbors (undirected).  ``gen_lattice``
-builds a unit-spacing grid: 4-neighborhood in 2D; in 3D the 4 planar
-moves plus the same 4 combined with one step up or down (12 per interior
-node, no purely vertical move).
+``generate`` builds either family.  ``euclidean`` scatters points
+uniformly in the unit square or cube and joins each to its k nearest
+neighbors (undirected).  ``lattice`` builds a unit-spacing grid:
+4-neighborhood in 2D; in 3D the 4 planar moves plus the same 4 combined
+with one step up or down (12 per interior node, no purely vertical
+move).
 
 Shared machinery: axis-aligned noise zones are drawn (sides uniform in a
 fraction range of the domain side) and zones are added or resampled until
@@ -286,7 +287,8 @@ def _lattice_graph(spec):
     return points, pairs
 
 
-def _build(spec: GenSpec) -> Instance:
+def generate(spec: GenSpec) -> Instance:
+    """Seeded instance of ``spec.family`` (see the module docstring)."""
     discarded = 0
     for attempt in range(_MAX_ATTEMPTS):
         rng = _rng_for(spec.seed, attempt)
@@ -343,24 +345,3 @@ def _build(spec: GenSpec) -> Instance:
     raise RuntimeError(
         f"no feasible instance in {_MAX_ATTEMPTS} attempts for seed "
         f"{spec.seed}; relax the calibration fractions")
-
-
-def gen_euclidean(spec: GenSpec) -> Instance:
-    """Random k-nearest-neighbor geometric instance in the unit box."""
-    if spec.family != FAMILY_EUCLIDEAN:
-        raise ValueError("spec.family must be 'euclidean'")
-    return _build(spec)
-
-
-def gen_lattice(spec: GenSpec) -> Instance:
-    """Grid instance with unit spacing (see module docstring for the
-    neighborhood shapes)."""
-    if spec.family != FAMILY_LATTICE:
-        raise ValueError("spec.family must be 'lattice'")
-    return _build(spec)
-
-
-def generate(spec: GenSpec) -> Instance:
-    if spec.family == FAMILY_EUCLIDEAN:
-        return gen_euclidean(spec)
-    return gen_lattice(spec)

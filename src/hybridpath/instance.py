@@ -279,9 +279,41 @@ def check_solution(instance: Instance, solution: Solution) -> Optional[str]:
 # File format
 # ---------------------------------------------------------------------------
 
-def _units(value: float, quantization: float) -> Tuple[int, float]:
-    """Convert a nominal quantity to integer units (round half to even)."""
-    units = round(value / quantization)
+# JSON numbers parse to exactly these types; bool, a subclass of int,
+# is excluded by the exact-type test.
+_NUMBER_TYPES = (int, float)
+
+
+def _number(value, key: str, where: str = "document"):
+    """``value`` when it is a JSON number; anything else (a boolean, a
+    string, null) raises FormatError rather than being coerced."""
+    if type(value) not in _NUMBER_TYPES:
+        raise FormatError(f"{where} field '{key}' must be a number")
+    return value
+
+
+def _integer(value, key: str, where: str = "document") -> int:
+    if type(value) is not int:
+        raise FormatError(f"{where} field '{key}' must be an integer")
+    return value
+
+
+def _boolean(value, key: str, where: str = "document") -> bool:
+    if type(value) is not bool:
+        raise FormatError(f"{where} field '{key}' must be true or false")
+    return value
+
+
+def _units(value, quantization: float, key: str,
+           where: str = "document") -> Tuple[int, float]:
+    """Convert a nominal quantity to integer units (round half to even).
+
+    Raises FormatError unless ``value`` is a finite number."""
+    value = _number(value, key, where)
+    try:
+        units = round(value / quantization)
+    except (OverflowError, ValueError):  # infinite, NaN or too large
+        raise FormatError(f"{where} field '{key}' must be finite") from None
     return units, abs(units * quantization - value)
 
 
@@ -291,11 +323,18 @@ def _require(doc: dict, key: str, where: str = "document"):
     return doc[key]
 
 
-def loads(data, check: bool = True) -> Instance:
+def _list(doc: dict, key: str) -> list:
+    value = _require(doc, key)
+    if type(value) is not list:
+        raise FormatError(f"field '{key}' must be a list")
+    return value
+
+
+def loads(data) -> Instance:
     """Parse an instance document (bytes or str).
 
     Raises FormatError on malformed input and InvalidInstanceError when the
-    parsed instance violates model invariants (suppress with check=False).
+    parsed instance violates model invariants.
     Real-valued resource inputs are rounded to integer units; a warning
     reports the largest rounding error when it is non-negligible.
     """
@@ -308,38 +347,41 @@ def loads(data, check: bool = True) -> Instance:
     if not isinstance(doc, dict):
         raise FormatError("document root must be an object")
 
-    quantization = float(doc.get("quantization", DEFAULT_QUANTIZATION))
+    quantization = float(_number(doc.get("quantization", DEFAULT_QUANTIZATION),
+                                 "quantization"))
     if not (quantization > 0 and math.isfinite(quantization)):
         raise FormatError("field 'quantization' must be a positive number")
 
-    raw_nodes = _require(doc, "nodes")
     nodes = []
-    for i, coord in enumerate(raw_nodes):
+    for i, coord in enumerate(_list(doc, "nodes")):
         if not isinstance(coord, list) or len(coord) not in (2, 3):
             raise FormatError(f"nodes[{i}] must be [x, y] or [x, y, z]")
+        if any(type(x) not in _NUMBER_TYPES for x in coord):
+            raise FormatError(f"nodes[{i}] coordinates must be numbers")
         nodes.append(tuple(float(x) for x in coord))
 
     max_err = 0.0
     edges: List[EdgeParams] = []
-    for i, rec in enumerate(_require(doc, "edges")):
+    for i, rec in enumerate(_list(doc, "edges")):
         where = f"edges[{i}]"
         if not isinstance(rec, dict):
             raise FormatError(f"{where} must be an object")
-        u = int(_require(rec, "u", where))
-        v = int(_require(rec, "v", where))
-        d = float(_require(rec, "d", where))
-        c, err_c = _units(float(_require(rec, "c", where)), quantization)
-        z, err_z = _units(float(_require(rec, "z", where)), quantization)
+        u = _integer(_require(rec, "u", where), "u", where)
+        v = _integer(_require(rec, "v", where), "v", where)
+        d = float(_number(_require(rec, "d", where), "d", where))
+        c, err_c = _units(_require(rec, "c", where), quantization, "c", where)
+        z, err_z = _units(_require(rec, "z", where), quantization, "z", where)
         max_err = max(max_err, err_c, err_z)
-        gen_allowed = bool(rec.get("gen_allowed", True))
-        gliding = bool(rec.get("gliding", False))
+        gen_allowed = _boolean(rec.get("gen_allowed", True), "gen_allowed",
+                               where)
+        gliding = _boolean(rec.get("gliding", False), "gliding", where)
         edges.append(EdgeParams(u, v, d, c, z, gen_allowed, gliding))
-        if rec.get("undirected", False):
+        if _boolean(rec.get("undirected", False), "undirected", where):
             edges.append(EdgeParams(v, u, d, c, z, gen_allowed, gliding))
 
     resources = {}
     for key in _RESOURCE_KEYS:
-        val, err = _units(float(_require(doc, key)), quantization)
+        val, err = _units(_require(doc, key), quantization, key)
         resources[key] = val
         max_err = max(max_err, err)
     if max_err > 1e-9 * quantization:
@@ -349,19 +391,21 @@ def loads(data, check: bool = True) -> Instance:
             stacklevel=2,
         )
 
+    meta = doc.get("meta")
+    if meta is not None and type(meta) is not dict:
+        raise FormatError("field 'meta' must be an object")
     instance = Instance(
         nodes=tuple(nodes),
         edges=tuple(edges),
-        start=int(_require(doc, "start")),
-        goal=int(_require(doc, "goal")),
+        start=_integer(_require(doc, "start"), "start"),
+        goal=_integer(_require(doc, "goal"), "goal"),
         quantization=quantization,
-        meta=doc.get("meta"),
+        meta=meta,
         **resources,
     )
-    if check:
-        violations = validate(instance)
-        if violations:
-            raise InvalidInstanceError(violations)
+    violations = validate(instance)
+    if violations:
+        raise InvalidInstanceError(violations)
     return instance
 
 
@@ -425,9 +469,9 @@ def dumps(instance: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load(path, check: bool = True) -> Instance:
+def load(path) -> Instance:
     with open(path, "rb") as fh:
-        return loads(fh.read(), check=check)
+        return loads(fh.read())
 
 
 def save(instance: Instance, path) -> None:
@@ -460,9 +504,10 @@ def solution_loads(data, instance: Instance) -> Solution:
         raise FormatError(f"invalid JSON: {exc}") from exc
     q = instance.quantization
     return Solution(
-        path=tuple(int(n) for n in _require(doc, "path")),
-        gen=tuple(bool(g) for g in _require(doc, "gen")),
+        path=tuple(_integer(n, "path") for n in _require(doc, "path")),
+        gen=tuple(_boolean(g, "gen") for g in _require(doc, "gen")),
         cost=float(_require(doc, "cost")),
-        battery=tuple(_units(float(b), q)[0] for b in _require(doc, "battery")),
-        fuel=tuple(_units(float(f), q)[0] for f in _require(doc, "fuel")),
+        battery=tuple(_units(b, q, "battery")[0]
+                      for b in _require(doc, "battery")),
+        fuel=tuple(_units(f, q, "fuel")[0] for f in _require(doc, "fuel")),
     )

@@ -87,18 +87,6 @@ class Label:
                 f"q={self.q}, s={int(self.s)})")
 
 
-def dominates(a: Label, b: Label) -> bool:
-    """True when label ``a`` is at least as good as ``b`` in every
-    coordinate (cost, battery, fuel, generator on >= off), has visited no
-    critical node that ``b`` avoided, and is not equal to ``b`` in all
-    four resource coordinates.  Equal-in-all-four labels are equivalent,
-    not dominating; insertion discards the newer of an equivalent pair."""
-    if a.d <= b.d and a.b >= b.b and a.q >= b.q and a.s >= b.s \
-            and (a.mask | b.mask) == b.mask:
-        return a.d != b.d or a.b != b.b or a.q != b.q or a.s != b.s
-    return False
-
-
 def extend(label: Label, edge: EdgeParams, gen_on: bool, instance: Instance,
            h=None) -> Optional[Label]:
     """Extend a label over ``edge``; returns None when infeasible.
@@ -166,7 +154,13 @@ class OpenList:
                          mask) -> Optional[Label]:
         """Accept a candidate state unless an existing label at ``node``
         weakly dominates it; the Label object is built only on
-        acceptance.  Returns it, or None when pruned."""
+        acceptance.  Returns it, or None when pruned.
+
+        This is the one dominance rule: label e weakly dominates state x
+        when e.d <= x.d, e.b >= x.b, e.q >= x.q, e.s >= x.s (generator on
+        beats off) and e's critical-visit mask is a subset of x's.  An
+        accepted candidate evicts every stored label it weakly
+        dominates; of two equal states the newer one is discarded."""
         costs = self._costs[node]
         dom = self._dom[node]
         for i, ed in enumerate(costs):
@@ -208,14 +202,6 @@ class OpenList:
         heapq.heappush(self._heap, (f, -b, -q, label.seq, label))
         self.n_open += 1
         return label
-
-    def insert(self, label: Label) -> bool:
-        """Object-based wrapper over insert_candidate (same invariant);
-        the stored label is an equivalent copy of the argument."""
-        accepted = self.insert_candidate(
-            label.node, label.d, label.b, label.q, label.s, label.f,
-            label.parent, label.gen, label.mask)
-        return accepted is not None
 
     def peek_min(self) -> Optional[Label]:
         heap = self._heap

@@ -4,31 +4,26 @@ Two tools live here.  ``oracle_solve`` is a brute-force reference solver
 for small instances: it enumerates every simple start-to-goal path under
 every generator on/off assignment, applying the resource update rule in a
 third, independent implementation (the search and the replay checker each
-have their own).  ``build_milp``/``export_milp`` translate an instance
-into a mixed-integer program in CPLEX LP text format so external solvers
-can cross-check the search, and the companion helpers substitute a
-solution into every exported row (an in-repo soundness check needing no
-solver) or import a solver's variable-value output back into a Solution.
+have their own).  ``build_milp`` translates an instance into a
+mixed-integer program whose ``render`` gives CPLEX LP text, so external
+solvers can cross-check the search, and the companion helpers substitute
+a solution into every row (an in-repo soundness check needing no solver)
+or import a solver's variable-value output back into a Solution.
 
-The exported program uses a corrected startup linearization: a binary
-w_uv with rows w_uv >= g_uv - sum(incoming g) and battery drain -V*w_uv,
-so the startup cost is paid exactly on off -> on transitions.  Battery
+The program uses a corrected startup linearization: a binary w_uv with
+rows w_uv >= g_uv - sum(incoming g) and battery drain -V*w_uv, so the
+startup cost is paid exactly on off -> on transitions.  Battery
 recurrence rows are emitted in the <= direction only, paired with a
 pre-recharge row (batt_mid) that enforces the minimum charge before the
 generator credit; a >= recurrence would pin the battery to the unclamped
 value and reject schedules that overflow the battery cap, which the
-search intentionally clamps instead.  ``literal=True`` reproduces the
-uncorrected historical row pair (both directions, startup term
--V*(1 - sum of incoming g excluding the reverse edge)) for side-by-side
-archaeology; it is not equivalent to the search semantics and is excluded
-from the equivalence guarantees.
+search intentionally clamps instead.
 
 Row names: deg_S, deg_T, deg_{i}, batt_le_{u}_{v}, batt_mid_{u}_{v},
-fuel_le_{u}_{v}, startup_{u}_{v}, gen_le_x_{u}_{v}, and batt_ge_{u}_{v}
-in literal mode.  Variables: x_{u}_{v}, g_{u}_{v}, w_{u}_{v}, b_{i},
-q_{i}.  All constraint coefficients are integers in quantized resource
-units, so substitution checks are exact; only the objective carries
-float edge costs.
+fuel_le_{u}_{v}, startup_{u}_{v} and gen_le_x_{u}_{v}.  Variables:
+x_{u}_{v}, g_{u}_{v}, w_{u}_{v}, b_{i}, q_{i}.  All constraint
+coefficients are integers in quantized resource units, so substitution
+checks are exact; only the objective carries float edge costs.
 """
 
 from __future__ import annotations
@@ -87,14 +82,24 @@ def _oracle_step(b, q, s, edge, gen_on, bmin, bmax, v):
 
 
 def count_simple_paths(instance: Instance, cap: int) -> int:
-    """Number of simple start-to-goal paths, counting stops at ``cap``."""
+    """Number of simple start-to-goal paths, counting stops at ``cap``.
+
+    The depth-first walk also stops, returning ``cap``, once it has
+    entered ``cap`` nodes: dead-end branches cost work without adding
+    paths, so a path count alone does not bound the walk.
+    """
     out = instance.out_edges
     goal = instance.goal
     on_path = [False] * instance.n_nodes
     count = 0
+    entries = 0
 
     def walk(node):
-        nonlocal count
+        nonlocal count, entries
+        entries += 1
+        if entries >= cap:
+            count = cap
+            return
         if node == goal:
             count += 1
             return
@@ -118,14 +123,16 @@ def oracle_solve(instance: Instance, path_budget: int = 500_000,
     generator assignment of its edges, pruning a branch only when a
     resource check fails.  Among equal-cost optima the lexicographically
     smallest (path, schedule) pair is returned, so the result is
-    independent of adjacency order.  Raises OracleBudgetError when the
-    simple-path count estimate exceeds ``path_budget`` or the enumeration
+    independent of adjacency order.  Raises OracleBudgetError when
+    counting the simple paths reaches ``path_budget`` paths or search
+    steps (see ``count_simple_paths``), or when the enumeration
     touches more than ``pair_budget`` complete pairs.
     """
     n_paths = count_simple_paths(instance, path_budget)
     if n_paths >= path_budget:
         raise OracleBudgetError(
-            f"oracle budget exceeded: more than {path_budget} simple paths")
+            f"oracle budget exceeded: more than {path_budget} simple paths "
+            "or path-search steps")
 
     out = instance.out_edges
     goal = instance.goal
@@ -257,15 +264,12 @@ def _wname(e) -> str:
     return f"w_{e.u}_{e.v}"
 
 
-def build_milp(instance: Instance, big_m_mode: str = "auto",
-               literal: bool = False) -> MilpModel:
+def build_milp(instance: Instance) -> MilpModel:
     """Translate an instance into the MILP intermediate form.
 
-    big_m_mode "auto" uses the tightest family constants that deactivate
-    the rows of unused edges: (bmax - bmin) + V + max(C + Z) for battery
-    rows and Q0 + max Z for fuel rows.  "global" applies the larger of
-    the two to both families.  Literal mode widens the battery constant by
-    the worst-case incoming-generator sum of its historical startup term.
+    The big-M constants are the tightest per-family values that
+    deactivate the rows of unused edges: (bmax - bmin) + V + max(C + Z)
+    for battery rows and Q0 + max Z for fuel rows.
     """
     edges = instance.edges
     n = instance.n_nodes
@@ -277,13 +281,6 @@ def build_milp(instance: Instance, big_m_mode: str = "auto",
     max_cz = max((e.c + e.z for e in edges), default=0)
     m_batt = (instance.bmax - instance.bmin) + instance.v + max_cz
     m_fuel = instance.q0 + max((e.z for e in edges), default=0)
-    if literal:
-        max_indeg = max((len(incoming[i]) for i in range(n)), default=0)
-        m_batt += instance.v * max_indeg
-    if big_m_mode == "global":
-        m_batt = m_fuel = max(m_batt, m_fuel)
-    elif big_m_mode != "auto":
-        raise ValueError(f"unknown big_m_mode {big_m_mode!r}")
 
     objective = tuple((_xname(e), e.d) for e in edges)
     rows: List[MilpRow] = []
@@ -301,40 +298,24 @@ def build_milp(instance: Instance, big_m_mode: str = "auto",
             rows.append(MilpRow(f"deg_{i}", tuple(coeffs), "=", 0))
 
     for e in edges:
-        x, g = _xname(e), _gname(e)
-        if literal:
-            # historical pair: both directions, startup charged whenever
-            # no other incoming edge of u runs the generator
-            terms = [(f"b_{e.v}", 1), (f"b_{e.u}", -1), (g, -e.z)]
-            terms += [(_gname(ke), -instance.v) for ke in incoming[e.u]
-                      if ke.u != e.v]
-            rhs_core = -e.c - instance.v
-            rows.append(MilpRow(f"batt_le_{e.u}_{e.v}",
-                                tuple(terms + [(x, m_batt)]), "<=",
-                                rhs_core + m_batt))
-            rows.append(MilpRow(f"batt_ge_{e.u}_{e.v}",
-                                tuple(terms + [(x, -m_batt)]), ">=",
-                                rhs_core - m_batt))
-        else:
-            w = _wname(e)
-            rows.append(MilpRow(
-                f"batt_le_{e.u}_{e.v}",
-                ((f"b_{e.v}", 1), (f"b_{e.u}", -1), (g, -e.z),
-                 (w, instance.v), (x, m_batt)),
-                "<=", m_batt - e.c))
-            rows.append(MilpRow(
-                f"batt_mid_{e.u}_{e.v}",
-                ((f"b_{e.u}", 1), (w, -instance.v), (x, -m_batt)),
-                ">=", instance.bmin + e.c - m_batt))
+        x, g, w = _xname(e), _gname(e), _wname(e)
+        rows.append(MilpRow(
+            f"batt_le_{e.u}_{e.v}",
+            ((f"b_{e.v}", 1), (f"b_{e.u}", -1), (g, -e.z),
+             (w, instance.v), (x, m_batt)),
+            "<=", m_batt - e.c))
+        rows.append(MilpRow(
+            f"batt_mid_{e.u}_{e.v}",
+            ((f"b_{e.u}", 1), (w, -instance.v), (x, -m_batt)),
+            ">=", instance.bmin + e.c - m_batt))
         rows.append(MilpRow(
             f"fuel_le_{e.u}_{e.v}",
             ((f"q_{e.v}", 1), (f"q_{e.u}", -1), (g, e.z), (x, m_fuel)),
             "<=", m_fuel))
-        if not literal:
-            startup = [(_wname(e), 1), (g, -1)]
-            startup += [(_gname(ke), 1) for ke in incoming[e.u]]
-            rows.append(MilpRow(f"startup_{e.u}_{e.v}", tuple(startup),
-                                ">=", 0))
+        startup = [(w, 1), (g, -1)]
+        startup += [(_gname(ke), 1) for ke in incoming[e.u]]
+        rows.append(MilpRow(f"startup_{e.u}_{e.v}", tuple(startup),
+                            ">=", 0))
         rows.append(MilpRow(f"gen_le_x_{e.u}_{e.v}",
                             ((g, 1), (x, -1)), "<=", 0))
 
@@ -347,8 +328,6 @@ def build_milp(instance: Instance, big_m_mode: str = "auto",
     for i in range(n):
         if i == S:
             bounds.append((f"q_{i}", instance.q0, instance.q0))
-        elif literal:
-            bounds.append((f"q_{i}", 0, None))
         else:
             bounds.append((f"q_{i}", 0, instance.q0))
     for e in edges:
@@ -357,15 +336,8 @@ def build_milp(instance: Instance, big_m_mode: str = "auto",
 
     binaries: List[str] = [_xname(e) for e in edges]
     binaries += [_gname(e) for e in edges]
-    if not literal:
-        binaries += [_wname(e) for e in edges]
+    binaries += [_wname(e) for e in edges]
     return MilpModel(objective, tuple(rows), tuple(bounds), tuple(binaries))
-
-
-def export_milp(instance: Instance, big_m_mode: str = "auto",
-                literal: bool = False) -> str:
-    """LP text for the instance (see module docstring for the row set)."""
-    return build_milp(instance, big_m_mode, literal).render()
 
 
 def assignment_from_solution(instance: Instance,
@@ -511,6 +483,7 @@ def solve_milp(model: MilpModel) -> Tuple[str, Optional[Dict[str, float]]]:
     """
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
 
     names = model.variable_names()
     index = {name: k for k, name in enumerate(names)}
@@ -530,17 +503,26 @@ def solve_milp(model: MilpModel) -> Tuple[str, Optional[Dict[str, float]]]:
         ub[k] = np.inf if hi is None else hi
     integrality = np.array([1.0 if name in binset else 0.0 for name in names])
 
-    a = np.zeros((len(model.rows), n))
+    row_idx: List[int] = []
+    col_idx: List[int] = []
+    values: List[int] = []
     row_lb = np.full(len(model.rows), -np.inf)
     row_ub = np.full(len(model.rows), np.inf)
     for r, row in enumerate(model.rows):
         for name, coef in row.coeffs:
-            a[r, index[name]] += coef
+            row_idx.append(r)
+            col_idx.append(index[name])
+            values.append(coef)
         if row.sense in ("<=", "="):
             row_ub[r] = row.rhs
         if row.sense in (">=", "="):
             row_lb[r] = row.rhs
 
+    # the CSC conversion sums duplicate entries; with zeros dropped the
+    # backend gets the same matrix a dense array would convert to
+    a = coo_array((np.array(values, dtype=float), (row_idx, col_idx)),
+                  shape=(len(model.rows), n)).tocsc()
+    a.eliminate_zeros()
     res = milp(c, constraints=LinearConstraint(a, row_lb, row_ub),
                integrality=integrality, bounds=Bounds(lb, ub))
     if res.status == 2:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import shutil
 
 import pytest
@@ -75,6 +76,22 @@ class TestSolve:
 
     def test_bad_flag_value(self, capsys):
         assert main(["solve", FIVE, "--selection", "sideways"]) == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(b0=math.inf),
+        lambda doc: doc.update(q0=math.nan),
+        lambda doc: doc["edges"][0].update(c=-math.inf),
+        lambda doc: doc["edges"][0].update(gen_allowed="false"),
+        lambda doc: doc.update(goal=4.5),
+    ])
+    def test_malformed_instance_one_line_error(self, tmp_path, capsys, edit):
+        doc = json.loads((FIXTURES / "five_node.json").read_text())
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # writes Infinity / NaN literals
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestGenerate:
@@ -268,21 +285,6 @@ class TestExportMilp:
         text = (tmp_path / "five_node.lp").read_text()
         assert text.startswith("Minimize")
         assert "batt_le_0_1:" in text
-
-    def test_modes_change_the_file(self, tmp_path, capsys):
-        paths = {name: tmp_path / f"{name}.lp"
-                 for name in ("auto", "global", "literal")}
-        assert main(["export-milp", FIVE, "--out", str(paths["auto"])]) == 0
-        assert main(["export-milp", FIVE, "--out", str(paths["global"]),
-                     "--big-m", "global"]) == 0
-        assert main(["export-milp", FIVE, "--out", str(paths["literal"]),
-                     "--literal-milp"]) == 0
-        texts = {name: p.read_text() for name, p in paths.items()}
-        assert len(set(texts.values())) == 3
-        assert "batt_ge_0_1" in texts["literal"]
-
-    def test_bad_big_m_choice(self, capsys):
-        assert main(["export-milp", FIVE, "--big-m", "tiny"]) == 1
 
 
 class TestUsage:

@@ -6,8 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hybridpath.generators import (GenSpec, farthest_pair, gen_euclidean,
-                                   gen_lattice, generate)
+from hybridpath.generators import GenSpec, farthest_pair, generate
 from hybridpath.instance import dumps, validate
 from hybridpath.labeling import SolverConfig, solve
 
@@ -21,14 +20,14 @@ def degree_counts(inst):
 
 @pytest.fixture(scope="module")
 def grid_10x10():
-    return gen_lattice(GenSpec(n_nodes=100, family="lattice", seed=3,
-                               b_frac=0.7))
+    return generate(GenSpec(n_nodes=100, family="lattice", seed=3,
+                            b_frac=0.7))
 
 
 @pytest.fixture(scope="module")
 def cube_5x5x5():
-    return gen_lattice(GenSpec(n_nodes=125, family="lattice", dim=3, seed=3,
-                               b_frac=0.7))
+    return generate(GenSpec(n_nodes=125, family="lattice", dim=3, seed=3,
+                            b_frac=0.7))
 
 
 class TestLattice:
@@ -81,27 +80,27 @@ class TestLattice:
 
     def test_bad_sizes(self):
         with pytest.raises(ValueError, match="perfect square"):
-            gen_lattice(GenSpec(n_nodes=10, family="lattice"))
+            generate(GenSpec(n_nodes=10, family="lattice"))
         with pytest.raises(ValueError, match="product"):
-            gen_lattice(GenSpec(n_nodes=10, family="lattice", dims=(3, 4)))
+            generate(GenSpec(n_nodes=10, family="lattice", dims=(3, 4)))
         with pytest.raises(ValueError, match="at least 2"):
-            gen_lattice(GenSpec(n_nodes=5, family="lattice", dims=(5, 1)))
+            generate(GenSpec(n_nodes=5, family="lattice", dims=(5, 1)))
 
     def test_rectangular_dims(self):
-        inst = gen_lattice(GenSpec(n_nodes=12, family="lattice", dims=(4, 3),
-                                   noise_target=0.0, b_frac=0.8))
+        inst = generate(GenSpec(n_nodes=12, family="lattice", dims=(4, 3),
+                                noise_target=0.0, b_frac=0.8))
         assert inst.n_nodes == 12
         assert len(inst.edges) == 2 * (3 * 3 + 4 * 2)
 
 
 class TestEuclidean:
     def test_valid_and_feasible(self):
-        inst = gen_euclidean(GenSpec(n_nodes=50, seed=5))
+        inst = generate(GenSpec(n_nodes=50, seed=5))
         assert validate(inst) == []
         assert solve(inst, SolverConfig()).status == "optimal"
 
     def test_endpoints_farthest(self):
-        inst = gen_euclidean(GenSpec(n_nodes=50, seed=5))
+        inst = generate(GenSpec(n_nodes=50, seed=5))
         pts = np.array(inst.nodes)
         s, t = farthest_pair(pts)
         assert {inst.start, inst.goal} == {s, t}
@@ -109,21 +108,21 @@ class TestEuclidean:
         assert math.dist(pts[s], pts[t]) == pytest.approx(dmax)
 
     def test_edges_undirected_knn(self):
-        inst = gen_euclidean(GenSpec(n_nodes=40, k_neighbors=3, seed=1))
+        inst = generate(GenSpec(n_nodes=40, k_neighbors=3, seed=1))
         directed = {(e.u, e.v) for e in inst.edges}
         assert all((v, u) in directed for u, v in directed)
         deg = degree_counts(inst)
         assert min(deg) >= 3
 
     def test_2d_has_no_gliding(self):
-        inst = gen_euclidean(GenSpec(n_nodes=30, seed=2))
+        inst = generate(GenSpec(n_nodes=30, seed=2))
         assert not any(e.gliding for e in inst.edges)
         assert all(e.c > 0 for e in inst.edges)
 
 
 class TestNoise:
     def test_window_met_at_scale(self):
-        inst = gen_euclidean(GenSpec(n_nodes=500, seed=9))
+        inst = generate(GenSpec(n_nodes=500, seed=9))
         meta = inst.meta
         assert meta["noise_window_met"] is True
         assert 0.29 <= meta["noise_fraction"] <= 0.35
@@ -131,14 +130,14 @@ class TestNoise:
         assert frac == pytest.approx(meta["noise_fraction"])
 
     def test_noise_free(self):
-        inst = gen_euclidean(GenSpec(n_nodes=30, seed=2, noise_target=0.0))
+        inst = generate(GenSpec(n_nodes=30, seed=2, noise_target=0.0))
         assert all(e.gen_allowed for e in inst.edges)
         assert inst.meta["noise_fraction"] == 0.0
         assert inst.meta["zone_count"] == 0
 
     def test_restriction_is_zone_containment(self):
         # both directions of an undirected pair share the restriction
-        inst = gen_euclidean(GenSpec(n_nodes=120, seed=4))
+        inst = generate(GenSpec(n_nodes=120, seed=4))
         for e in inst.edges:
             assert e.gen_allowed == inst.edge_map[(e.v, e.u)].gen_allowed
 
@@ -181,7 +180,7 @@ class TestDeterminism:
 
     def test_lattice_reruns_identical(self):
         spec = GenSpec(n_nodes=49, family="lattice", seed=2, b_frac=0.7)
-        assert dumps(gen_lattice(spec)) == dumps(gen_lattice(spec))
+        assert dumps(generate(spec)) == dumps(generate(spec))
 
 
 class TestGenSpec:
@@ -209,12 +208,6 @@ class TestGenSpec:
             GenSpec(n_nodes=10, b_frac=-0.1)
         with pytest.raises(ValueError):
             GenSpec(n_nodes=10, quantization=0.0)
-
-    def test_family_dispatch_guards(self):
-        with pytest.raises(ValueError):
-            gen_euclidean(GenSpec(n_nodes=9, family="lattice"))
-        with pytest.raises(ValueError):
-            gen_lattice(GenSpec(n_nodes=9))
 
     def test_meta_carries_spec_and_stats(self):
         inst = generate(GenSpec(n_nodes=30, seed=2))

@@ -156,10 +156,60 @@ class TestFileFormat:
     def test_invalid_instance_reported_on_load(self):
         doc = json.loads((FIXTURES / "five_node.json").read_text())
         doc["b0"] = -1.0
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(InvalidInstanceError, match="b0 is negative"):
             loads(json.dumps(doc))
-        inst = loads(json.dumps(doc), check=False)
-        assert inst.b0 == -1
+
+    @pytest.mark.parametrize("where, key", [
+        ("doc", "b0"), ("doc", "bmin"), ("doc", "bmax"), ("doc", "q0"),
+        ("doc", "v"), ("edge", "c"), ("edge", "z"),
+    ])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_rejected(self, where, key, value):
+        doc = json.loads((FIXTURES / "five_node.json").read_text())
+        (doc["edges"][2] if where == "edge" else doc)[key] = value
+        with pytest.raises(FormatError, match=f"'{key}' must be finite"):
+            loads(json.dumps(doc))
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("edge", "gen_allowed", "false"),
+        ("edge", "gen_allowed", 0),
+        ("edge", "gliding", "true"),
+        ("edge", "undirected", 1),
+        ("edge", "undirected", None),
+        ("edge", "u", 1.5),
+        ("edge", "v", 1.0),
+        ("edge", "u", True),
+        ("edge", "v", "1"),
+        ("edge", "c", "2.0"),
+        ("edge", "d", None),
+        ("doc", "start", 0.5),
+        ("doc", "goal", 4.0),
+        ("doc", "goal", "4"),
+        ("doc", "start", False),
+        ("doc", "b0", True),
+        ("doc", "quantization", None),
+    ])
+    def test_no_silent_coercion(self, where, key, value):
+        doc = json.loads((FIXTURES / "five_node.json").read_text())
+        (doc["edges"][0] if where == "edge" else doc)[key] = value
+        with pytest.raises(FormatError, match=f"'{key}' must be"):
+            loads(json.dumps(doc))
+
+    def test_node_coordinates_must_be_numbers(self):
+        doc = json.loads((FIXTURES / "five_node.json").read_text())
+        doc["nodes"][1] = [0.0, None]
+        with pytest.raises(FormatError, match="nodes\\[1\\]"):
+            loads(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("nodes", None, "list"), ("edges", 5, "list"),
+        ("edges", {"u": 0}, "list"), ("meta", [1], "object"),
+    ])
+    def test_containers_must_have_their_type(self, key, value, kind):
+        doc = json.loads((FIXTURES / "five_node.json").read_text())
+        doc[key] = value
+        with pytest.raises(FormatError, match=f"'{key}' must be an? {kind}"):
+            loads(json.dumps(doc))
 
     def test_undirected_expands_both_ways(self):
         doc = {
@@ -222,3 +272,14 @@ class TestSolutionFormat:
     def test_missing_field_named(self, five_node):
         with pytest.raises(FormatError, match="gen"):
             solution_loads('{"path": [0, 4], "cost": 1.0}', five_node)
+
+    @pytest.mark.parametrize("key, value", [
+        ("path", [0, 3.5, 4]), ("gen", ["false", False]),
+        ("battery", [6.0, None, 0.0]), ("fuel", [7.0, math.inf, 0.0]),
+    ])
+    def test_no_silent_coercion(self, five_node, key, value):
+        from hybridpath.labeling import solve
+        doc = json.loads(solution_dumps(five_node, solve(five_node).solution))
+        doc[key] = value
+        with pytest.raises(FormatError, match=f"'{key}' must be"):
+            solution_loads(json.dumps(doc), five_node)

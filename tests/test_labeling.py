@@ -8,9 +8,9 @@ import pytest
 from hybridpath.generators import GenSpec, generate
 from hybridpath.heuristics import make_table
 from hybridpath.instance import EdgeParams, Instance, check_solution
-from hybridpath.labeling import (Label, OpenList, SolverConfig, dominates,
-                                 extend, extract_path, select_label,
-                                 select_node, solve)
+from hybridpath.labeling import (Label, OpenList, SolverConfig, extend,
+                                 extract_path, select_label, select_node,
+                                 solve)
 from conftest import (REVISIT_TRAP_COST, TRIANGLE_COST, FIVE_NODE_COST,
                       FIVE_NODE_PATH)
 
@@ -23,36 +23,50 @@ def mklabel(node=0, d=0.0, b=0, q=0, s=False, mask=0):
     return Label(node, d, b, q, s, d, None, s, mask)
 
 
+def offer(ol, node=0, d=0.0, b=0, q=0, s=False, mask=0):
+    """Offer a state to the open list; True when it is accepted."""
+    return ol.insert_candidate(node, d, b, q, s, d, None, s, mask) is not None
+
+
+def dominates(a, b):
+    """Whether state ``a`` evicts state ``b`` from an open list holding
+    only ``b``: the dominance rule as OpenList.insert_candidate applies
+    it during a solve."""
+    ol = OpenList(1)
+    assert offer(ol, **b)
+    return offer(ol, **a) and len(ol) == 1
+
+
 class TestDominates:
     def test_strictly_better(self):
-        assert dominates(mklabel(d=5, b=10, q=10, s=True),
-                         mklabel(d=6, b=9, q=9, s=False))
+        assert dominates(dict(d=5, b=10, q=10, s=True),
+                         dict(d=6, b=9, q=9, s=False))
 
     def test_incomparable_both_ways(self):
-        a = mklabel(d=5, b=10, q=10)
-        b = mklabel(d=4, b=12, q=8)
+        a = dict(d=5, b=10, q=10)
+        b = dict(d=4, b=12, q=8)
         assert not dominates(a, b)
         assert not dominates(b, a)
 
     def test_all_equal_is_equivalent_not_dominating(self):
-        a = mklabel(d=5, b=10, q=10, s=True)
-        b = mklabel(d=5, b=10, q=10, s=True)
+        a = dict(d=5, b=10, q=10, s=True)
+        b = dict(d=5, b=10, q=10, s=True)
         assert not dominates(a, b)
 
     def test_on_beats_off_at_equal_resources(self):
-        assert dominates(mklabel(d=5, b=10, q=10, s=True),
-                         mklabel(d=5, b=10, q=10, s=False))
-        assert not dominates(mklabel(d=5, b=10, q=10, s=False),
-                             mklabel(d=5, b=10, q=10, s=True))
+        assert dominates(dict(d=5, b=10, q=10, s=True),
+                         dict(d=5, b=10, q=10, s=False))
+        assert not dominates(dict(d=5, b=10, q=10, s=False),
+                             dict(d=5, b=10, q=10, s=True))
 
     def test_visited_superset_blocks_dominance(self):
         # a label that has passed through more restricted nodes cannot
         # stand in for one that kept them available
-        a = mklabel(d=5, b=10, q=10, mask=0b11)
-        b = mklabel(d=6, b=9, q=9, mask=0b01)
+        a = dict(d=5, b=10, q=10, mask=0b11)
+        b = dict(d=6, b=9, q=9, mask=0b01)
         assert not dominates(a, b)
-        assert dominates(mklabel(d=5, b=10, q=10, mask=0b01),
-                         mklabel(d=6, b=9, q=9, mask=0b11))
+        assert dominates(dict(d=5, b=10, q=10, mask=0b01),
+                         dict(d=6, b=9, q=9, mask=0b11))
 
 
 def extend_instance(**kw):
@@ -144,77 +158,77 @@ class TestExtend:
 class TestOpenList:
     def test_insert_and_pop_min(self):
         ol = OpenList(2)
-        ol.insert(mklabel(d=7.0, b=1, q=1))
-        ol.insert(mklabel(d=5.0, b=9, q=1))
-        ol.insert(mklabel(node=1, d=9.0, b=1, q=1))
+        offer(ol, d=7.0, b=1, q=1)
+        offer(ol, d=5.0, b=9, q=1)
+        offer(ol, node=1, d=9.0, b=1, q=1)
         n = len(ol)
         assert ol.pop_min().d == 5.0
         assert len(ol) == n - 1
 
     def test_tie_breaks_prefer_battery_then_fuel_then_fifo(self):
         ol = OpenList(1)
-        ol.insert(mklabel(d=5.0, b=3, q=9))
-        ol.insert(mklabel(d=5.0, b=4, q=1))
+        offer(ol, d=5.0, b=3, q=9)
+        offer(ol, d=5.0, b=4, q=1)
         assert ol.pop_min().b == 4
         # equal f and b: masks keep the pair incomparable so both stay open
         ol = OpenList(1)
-        ol.insert(mklabel(d=5.0, b=3, q=1, mask=0b01))
-        ol.insert(mklabel(d=5.0, b=3, q=2, mask=0b11))
+        offer(ol, d=5.0, b=3, q=1, mask=0b01)
+        offer(ol, d=5.0, b=3, q=2, mask=0b11)
         assert len(ol) == 2
         assert ol.pop_min().q == 2
         # full tie across nodes falls back to insertion order
         ol = OpenList(2)
-        ol.insert(mklabel(node=1, d=5.0, b=3, q=1))
-        ol.insert(mklabel(node=0, d=5.0, b=3, q=1))
+        offer(ol, node=1, d=5.0, b=3, q=1)
+        offer(ol, node=0, d=5.0, b=3, q=1)
         assert ol.pop_min().node == 1
         assert ol.pop_min().node == 0
 
     def test_dominated_candidate_rejected(self):
         ol = OpenList(1)
-        assert ol.insert(mklabel(d=5.0, b=10, q=10))
-        assert not ol.insert(mklabel(d=6.0, b=9, q=9))
+        assert offer(ol, d=5.0, b=10, q=10)
+        assert not offer(ol, d=6.0, b=9, q=9)
         assert ol.pruned == 1
 
     def test_equivalent_newer_discarded(self):
         ol = OpenList(1)
-        assert ol.insert(mklabel(d=5.0, b=10, q=10))
-        assert not ol.insert(mklabel(d=5.0, b=10, q=10))
+        assert offer(ol, d=5.0, b=10, q=10)
+        assert not offer(ol, d=5.0, b=10, q=10)
         assert len(ol) == 1
 
     def test_dominating_candidate_evicts_open(self):
         ol = OpenList(1)
-        ol.insert(mklabel(d=6.0, b=9, q=9))
-        assert ol.insert(mklabel(d=5.0, b=10, q=10))
+        offer(ol, d=6.0, b=9, q=9)
+        assert offer(ol, d=5.0, b=10, q=10)
         assert len(ol) == 1
         assert ol.pop_min().d == 5.0
         assert ol.pop_min() is None
 
     def test_closed_labels_still_prune(self):
         ol = OpenList(1)
-        ol.insert(mklabel(d=5.0, b=10, q=10))
+        offer(ol, d=5.0, b=10, q=10)
         ol.pop_min()  # close it
-        assert not ol.insert(mklabel(d=6.0, b=9, q=9))
+        assert not offer(ol, d=6.0, b=9, q=9)
 
     def test_incomparable_coexist(self):
         ol = OpenList(1)
-        assert ol.insert(mklabel(d=5.0, b=10, q=10))
-        assert ol.insert(mklabel(d=4.0, b=12, q=8))
+        assert offer(ol, d=5.0, b=10, q=10)
+        assert offer(ol, d=4.0, b=12, q=8)
         assert len(ol) == 2
 
 
 class TestSelection:
     def test_select_label_singleton(self):
         ol = OpenList(2)
-        ol.insert(mklabel(d=7.0))
-        ol.insert(mklabel(node=1, d=5.0))
+        offer(ol, d=7.0)
+        offer(ol, node=1, d=5.0)
         labels, node = select_label(ol)
         assert node == 1 and len(labels) == 1 and labels[0].d == 5.0
 
     def test_select_node_returns_all_open_at_min_node(self):
         ol = OpenList(2)
-        ol.insert(mklabel(d=5.0, b=5, q=0))
-        ol.insert(mklabel(d=8.0, b=9, q=0))
-        ol.insert(mklabel(node=1, d=6.0))
+        offer(ol, d=5.0, b=5, q=0)
+        offer(ol, d=8.0, b=9, q=0)
+        offer(ol, node=1, d=6.0)
         labels, node = select_node(ol)
         assert node == 0
         assert [l.d for l in labels] == [5.0, 8.0]
@@ -223,7 +237,7 @@ class TestSelection:
     def test_select_node_singleton_matches_select_label(self):
         for selector in (select_label, select_node):
             ol = OpenList(2)
-            ol.insert(mklabel(node=1, d=3.0))
+            offer(ol, node=1, d=3.0)
             labels, node = selector(ol)
             assert node == 1 and len(labels) == 1
 

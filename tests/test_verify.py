@@ -1,15 +1,17 @@
 """Exhaustive oracle and the integer-programming cross-check."""
 
 import math
+import time
 
 import pytest
 
+from hybridpath.generators import GenSpec, generate
 from hybridpath.instance import EdgeParams, Instance, check_solution
 from hybridpath.labeling import solve
 from hybridpath.verify import (MilpImportError, OracleBudgetError,
                                assignment_from_solution, build_milp,
                                check_substitution, count_simple_paths,
-                               export_milp, format_assignment,
+                               format_assignment,
                                import_milp_solution, milp_objective,
                                oracle_solve, solve_milp)
 from conftest import (FIXTURES, FIVE_NODE_COST, FIVE_NODE_ENUMERATED,
@@ -59,6 +61,16 @@ class TestOracle:
         with pytest.raises(OracleBudgetError, match="pairs"):
             oracle_solve(five_node, pair_budget=2)
 
+    def test_path_budget_bounds_dead_end_search(self):
+        # few complete paths but a vast dead-end search: the path count
+        # alone never reaches the budget, the DFS step count does
+        inst = generate(GenSpec(n_nodes=60, seed=0, k_neighbors=4,
+                                b_frac=0.7, v_frac=0.04))
+        t0 = time.perf_counter()
+        with pytest.raises(OracleBudgetError, match="simple paths"):
+            oracle_solve(inst)
+        assert time.perf_counter() - t0 < 5.0
+
 
 class TestBuildMilp:
     def test_row_census(self, five_node):
@@ -107,24 +119,6 @@ class TestBuildMilp:
         assert bounds["b_2"] == (0, 6)
         assert bounds["q_4"] == (0, 7)
         assert bounds["g_2_4"] == (0, 0)
-
-    def test_global_big_m(self, five_node):
-        model = build_milp(five_node, big_m_mode="global")
-        fuel = next(r for r in model.rows if r.name == "fuel_le_0_1")
-        assert dict(fuel.coeffs)["x_0_1"] == 16
-        with pytest.raises(ValueError, match="big_m_mode"):
-            build_milp(five_node, big_m_mode="huge")
-
-    def test_literal_mode(self, five_node):
-        model = build_milp(five_node, literal=True)
-        names = [row.name for row in model.rows]
-        m = len(five_node.edges)
-        assert sum(1 for s in names if s.startswith("batt_ge")) == m
-        assert not any(s.startswith("batt_mid") for s in names)
-        assert not any(s.startswith("startup") for s in names)
-        assert not any(name.startswith("w_") for name in model.binaries)
-        bounds = {name: (lo, hi) for name, lo, hi in model.bounds}
-        assert bounds["q_4"] == (0, None)
 
     def test_objective_is_edge_costs(self, five_node):
         model = build_milp(five_node)
@@ -237,8 +231,8 @@ class TestImport:
 
 class TestExport:
     def test_sections_and_determinism(self, five_node):
-        text = export_milp(five_node)
-        assert text == export_milp(five_node)
+        text = build_milp(five_node).render()
+        assert text == build_milp(five_node).render()
         lines = text.splitlines()
         assert lines[0] == "Minimize"
         assert lines[1].startswith(" obj: 1.2 x_0_1")
@@ -246,7 +240,3 @@ class TestExport:
             assert section in lines
         assert " b_0 = 6" in lines
         assert " g_2_4 = 0" in lines
-
-    def test_literal_differs(self, five_node):
-        assert export_milp(five_node) != export_milp(five_node, literal=True)
-        assert "batt_ge_0_1" in export_milp(five_node, literal=True)
