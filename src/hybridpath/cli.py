@@ -89,11 +89,19 @@ def _instance_stats(instance) -> Dict[str, object]:
 def cmd_generate(args) -> int:
     with open(args.manifest, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest must be a JSON object")
     entries = manifest.get("instances")
     if not entries:
         print("error: manifest has no instances", file=sys.stderr)
         return EXIT_ERROR
-    defaults = dict(manifest.get("defaults", {}))
+    if not isinstance(entries, list) or not all(
+            isinstance(entry, dict) for entry in entries):
+        raise ValueError("manifest 'instances' must be a list of objects")
+    defaults = manifest.get("defaults", {})
+    if not isinstance(defaults, dict):
+        raise ValueError("manifest 'defaults' must be an object")
+    defaults = dict(defaults)
     if args.seed is not None:
         defaults["seed"] = args.seed
 
@@ -104,9 +112,9 @@ def cmd_generate(args) -> int:
     for entry in entries:
         entry = dict(entry)
         eid = entry.pop("id", None)
-        if not eid or eid in seen:
-            print(f"error: missing or duplicate instance id {eid!r}",
-                  file=sys.stderr)
+        if not eid or not isinstance(eid, str) or eid in seen:
+            print(f"error: missing, non-string or duplicate instance id "
+                  f"{eid!r}", file=sys.stderr)
             return EXIT_ERROR
         seen.add(eid)
         spec = generators.GenSpec.from_dict({**defaults, **entry})
@@ -366,10 +374,14 @@ def cmd_verify(args) -> int:
         checked += 1
         problems = []
         solved = None
+        tables = {heur: make_table(instance, heur) for heur in ("sup", "sld")}
         for selection, heuristic in _VERIFY_CONFIGS:
+            if not tables[heuristic].admissible:
+                continue  # solve rejects it; nothing to cross-check
             result = labeling.solve(
                 instance, labeling.SolverConfig(selection=selection,
-                                                heuristic=heuristic))
+                                                heuristic=heuristic),
+                table=tables[heuristic])
             tag = f"{selection}/{heuristic}"
             if result.status != oracle.status:
                 problems.append(f"{tag}: {result.status} vs oracle "
@@ -392,7 +404,9 @@ def cmd_verify(args) -> int:
             print(f"{path.stem}: MISMATCH — " + "; ".join(problems))
         else:
             cost = "infeasible" if oracle.solution is None else repr(oracle.cost)
-            print(f"{path.stem}: ok ({cost})")
+            skipped_heur = [h for h, t in tables.items() if not t.admissible]
+            print(f"{path.stem}: ok ({cost})" + "".join(
+                f", {h} skipped (inadmissible)" for h in skipped_heur))
             matched += 1
     print(f"{matched}/{checked} matched, {skipped} skipped")
     return EXIT_OK if matched == checked else EXIT_ERROR

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,6 +47,16 @@ FAMILY_LATTICE = "lattice"
 
 _MAX_ATTEMPTS = 64
 _MAX_ZONE_ROUNDS = 400
+
+
+def _check_number(name: str, value, kind) -> None:
+    """Reject a spec value that is not a finite number of ``kind``
+    (booleans included), instead of coercing it."""
+    if isinstance(value, bool) or not isinstance(value, kind) \
+            or not math.isfinite(value):
+        raise ValueError(f"{name} must be "
+                         + ("an integer" if kind is Integral
+                            else "a finite number"))
 
 
 @dataclass(frozen=True)
@@ -79,6 +90,24 @@ class GenSpec:
     dims: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
+        for name in ("n_nodes", "dim", "k_neighbors", "seed"):
+            _check_number(name, getattr(self, name), Integral)
+        for name in ("noise_target", "alpha", "beta", "uphill_factor",
+                     "glide_z_factor", "b_frac", "q_frac", "v_frac",
+                     "quantization"):
+            _check_number(name, getattr(self, name), Real)
+        for name, kind in (("zone_count_range", Integral),
+                           ("zone_side_range", Real)):
+            pair = getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValueError(f"{name} must be a pair of numbers")
+            for value in pair:
+                _check_number(name, value, kind)
+        if self.dims is not None:
+            if not isinstance(self.dims, (tuple, list)):
+                raise ValueError("dims must be a list of integers")
+            for value in self.dims:
+                _check_number("dims", value, Integral)
         if self.family not in (FAMILY_EUCLIDEAN, FAMILY_LATTICE):
             raise ValueError(f"unknown family {self.family!r}")
         if self.dim not in (2, 3):
@@ -123,7 +152,7 @@ class GenSpec:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
         kwargs = dict(doc)
         for key in ("zone_count_range", "zone_side_range", "dims"):
-            if key in kwargs and kwargs[key] is not None:
+            if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 

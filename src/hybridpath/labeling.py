@@ -11,6 +11,17 @@ Two selection methods are supported: ``label`` treats the single open
 label of minimum f per iteration, ``node`` treats every open label of the
 node owning the minimum-f label.
 
+Under label selection with a consistent heuristic (``sup`` and ``zero``
+always, ``sld`` whenever it is admissible, which ``solve`` requires),
+labels close in nondecreasing f, so a label closed at a node has d no
+larger than any candidate generated there later.  Candidates are
+therefore tested against closed labels on (b, q, s) alone, through a
+per-node Pareto staircase searched by bisection (see ``OpenList``).  Node
+selection keeps its closed labels in the exact (d, b, q, s, mask) lists:
+it closes every open label of the chosen node at once, including labels
+whose f exceeds the open minimum, and a later candidate there can have a
+smaller d than those.
+
 The startup drain applies with transition semantics: the battery pays the
 startup cost only on an off -> on switch of the generator (the start node
 counts as off).
@@ -39,10 +50,11 @@ tractable in pure Python; a unit test holds the two forms together.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -124,16 +136,32 @@ def extend(label: Label, edge: EdgeParams, gen_on: bool, instance: Instance,
     return Label(edge.v, d, b, q, gen_on, f, label, gen_on, label.mask | bit)
 
 
+def _covers(bs: list, qs: list, b, q) -> bool:
+    """Whether a (b, q) staircase (b ascending, q descending) holds an
+    entry with b' >= b and q' >= q."""
+    i = bisect_left(bs, b)
+    return i < len(bs) and qs[i] >= q
+
+
 class OpenList:
     """Priority structure over open labels keyed by f-cost.
 
     Ties break toward larger battery, then larger fuel, then insertion
-    order.  Every label ever accepted at a node, open or closed, sits in
-    that node's dominance list (kept sorted by cost so rejection scans
-    stop early); insertion enforces the no-dominated-label invariant
-    against that whole list and evicts open or closed entries the
-    newcomer dominates.  Heap entries of evicted labels are dropped
-    lazily.
+    order.  Each node's dominance store has two parts.  Open labels, and
+    closed labels that carry a critical mask or were closed by
+    ``take_node``, sit in a list kept sorted by cost (so rejection scans
+    stop early); they are compared on (d, b, q, s, mask), and an accepted
+    candidate evicts the ones it dominates.  A label closed by
+    ``pop_min`` with an empty mask moves instead to the node's closed
+    (b, q) staircase for its generator bit: the Pareto front of closed
+    labels, b ascending and q descending, probed with ``bisect``.  Every
+    candidate is tested against the generator-on staircase, one with the
+    generator off also against the generator-off staircase.  The
+    staircase drops d, which is sound only under its contract: callers
+    pop labels in f order and the heuristic is consistent, so every
+    label closed at a node has d no larger than any candidate generated
+    there later.  Staircase entries are never evicted.  Heap entries of
+    evicted labels are dropped lazily.
     """
 
     def __init__(self, n_nodes: int):
@@ -143,6 +171,9 @@ class OpenList:
         self._costs: List[List[float]] = [[] for _ in range(n_nodes)]
         self._dom: List[List[tuple]] = [[] for _ in range(n_nodes)]
         self.open_by_node: List[List[Label]] = [[] for _ in range(n_nodes)]
+        # per node: None until a label closes there, then the closed
+        # staircases [b_off, q_off, b_on, q_on]
+        self._closed: List[Optional[List[list]]] = [None] * n_nodes
         self._seq = 0
         self.n_open = 0
         self.pruned = 0
@@ -158,21 +189,26 @@ class OpenList:
 
         This is the one dominance rule: label e weakly dominates state x
         when e.d <= x.d, e.b >= x.b, e.q >= x.q, e.s >= x.s (generator on
-        beats off) and e's critical-visit mask is a subset of x's.  An
-        accepted candidate evicts every stored label it weakly
+        beats off) and e's critical-visit mask is a subset of x's.
+        Staircase labels are closed with an empty mask and, by the class
+        contract, e.d <= x.d, so they are tested on (b, q, s) alone.  An
+        accepted candidate evicts every listed label it weakly
         dominates; of two equal states the newer one is discarded."""
+        closed = self._closed[node]
+        if closed is not None and (
+                _covers(closed[2], closed[3], b, q)
+                or not s and _covers(closed[0], closed[1], b, q)):
+            self.pruned += 1
+            return None
+
         costs = self._costs[node]
         dom = self._dom[node]
-        for i, ed in enumerate(costs):
-            if ed > d:
-                break
-            e = dom[i]
+        for e in dom[:bisect_right(costs, d)]:
             if e[1] >= b and e[2] >= q and e[3] >= s \
                     and (e[4] | mask) == mask:
                 self.pruned += 1
                 return None
 
-        evicted = False
         lo = bisect_left(costs, d)
         i = len(costs) - 1
         while i >= lo:
@@ -183,13 +219,10 @@ class OpenList:
                 if lab.in_open:
                     lab.in_open = False
                     self.n_open -= 1
-                    evicted = True
+                    self.open_by_node[node].remove(lab)
                 self.pruned += 1
                 del dom[i], costs[i]
             i -= 1
-        if evicted:
-            opens = self.open_by_node[node]
-            opens[:] = [l for l in opens if l.in_open]
 
         label = Label(node, d, b, q, s, f, parent, gen, mask)
         label.seq = self._seq
@@ -203,6 +236,31 @@ class OpenList:
         self.n_open += 1
         return label
 
+    def _close(self, label: Label) -> None:
+        """Move a popped label with an empty mask from the node's sorted
+        list to its closed staircase."""
+        node = label.node
+        costs = self._costs[node]
+        dom = self._dom[node]
+        i = bisect_left(costs, label.d)
+        while dom[i][5] is not label:
+            i += 1
+        del dom[i], costs[i]
+        closed = self._closed[node]
+        if closed is None:
+            closed = self._closed[node] = [[], [], [], []]
+        bs, qs = (closed[2], closed[3]) if label.s else (closed[0], closed[1])
+        b, q = label.b, label.q
+        if _covers(bs, qs, b, q):
+            return
+        # the entries the label dominates (b' <= b, q' <= q) are the
+        # contiguous run ending just before the first b' > b
+        j = k = bisect_right(bs, b)
+        while k and qs[k - 1] <= q:
+            k -= 1
+        bs[k:j] = [b]
+        qs[k:j] = [q]
+
     def peek_min(self) -> Optional[Label]:
         heap = self._heap
         while heap:
@@ -213,6 +271,8 @@ class OpenList:
         return None
 
     def pop_min(self) -> Optional[Label]:
+        """Remove and return the minimum-f open label; with an empty
+        mask it moves to its node's closed staircase."""
         heap = self._heap
         while heap:
             label = heapq.heappop(heap)[4]
@@ -220,11 +280,16 @@ class OpenList:
                 label.in_open = False
                 self.n_open -= 1
                 self.open_by_node[label.node].remove(label)
+                if not label.mask:
+                    self._close(label)
                 return label
         return None
 
     def take_node(self, node: int) -> List[Label]:
-        """Remove and return every open label of ``node``."""
+        """Remove and return every open label of ``node``.  They stay in
+        the node's sorted list: node selection closes labels whose f
+        exceeds the open minimum, so the staircase contract does not
+        hold for them."""
         labels = self.open_by_node[node]
         self.open_by_node[node] = []
         for e in labels:
@@ -403,7 +468,9 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig(),
     (the search space exhausted), or a limit result with the best lower
     bound still open.  Limits apply across all refinement rounds (see the
     module docstring).  Pass ``table`` to reuse a precomputed heuristic
-    table (its kind must match the config).
+    table (its kind must match the config).  Raises ValueError for an
+    inadmissible table: the search's optimality proof and its closed-label
+    staircase both rest on the estimate never over-estimating.
     """
     if instance.start == instance.goal:
         raise ValueError("start equals goal")
@@ -412,6 +479,10 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig(),
     elif table.kind != config.heuristic:
         raise ValueError(
             f"table kind {table.kind!r} != config {config.heuristic!r}")
+    if not table.admissible:
+        raise ValueError(
+            f"{table.kind} heuristic is inadmissible on this instance "
+            "(an edge costs less than the straight line between its ends)")
 
     t0 = time.perf_counter()
     n = instance.n_nodes
@@ -425,18 +496,29 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig(),
         stats.created_per_node = tuple(created)
         return SolveResult(status, solution, stats, bound)
 
-    while True:
-        status, best, bound = _search(
-            instance, config, table.h, critical_bit, stats, created, t0,
-            config.max_labels)
-        if status != STATUS_OPTIMAL:
-            return finish(status, bound=bound)
-        solution = extract_path(best, instance)
-        repeats = {v for v in solution.path
-                   if solution.path.count(v) > 1}
-        if not repeats:
-            return finish(STATUS_OPTIMAL, solution, solution.cost)
-        for v in sorted(repeats):
-            if not critical_bit[v]:
-                critical_bit[v] = 1 << n_critical
-                n_critical += 1
+    # The search allocates many tracked objects (labels, heap and
+    # dominance entries) that form no reference cycles: reference counting
+    # frees them, and the cyclic collector's passes over the growing live
+    # set reclaim nothing.  On 2000-node instances those passes were 30-50%
+    # of a solve, so the collector is paused for the search.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        while True:
+            status, best, bound = _search(
+                instance, config, table.h, critical_bit, stats, created, t0,
+                config.max_labels)
+            if status != STATUS_OPTIMAL:
+                return finish(status, bound=bound)
+            solution = extract_path(best, instance)
+            repeats = {v for v in solution.path
+                       if solution.path.count(v) > 1}
+            if not repeats:
+                return finish(STATUS_OPTIMAL, solution, solution.cost)
+            for v in sorted(repeats):
+                if not critical_bit[v]:
+                    critical_bit[v] = 1 << n_critical
+                    n_critical += 1
+    finally:
+        if collecting:
+            gc.enable()

@@ -79,6 +79,24 @@ def revisit_trap():
     return make_revisit_trap()
 
 
+def make_sld_trap():
+    """The route 0-1-2 costs 2 where its chords are 20 and 22.4, so the
+    straight-line estimate over-estimates at node 1; trusting it would
+    report the direct edge (cost 10) as optimal.  No resource binds."""
+    return Instance(
+        nodes=((0.0, 0.0), (0.0, 20.0), (10.0, 0.0)),
+        edges=(
+            EdgeParams(0, 1, 1.0, 0, 0),
+            EdgeParams(1, 2, 1.0, 0, 0),
+            EdgeParams(0, 2, 10.0, 0, 0),
+        ),
+        start=0, goal=2, b0=0, bmin=0, bmax=0, q0=0, v=0,
+        quantization=1.0)
+
+
+SLD_TRAP_COST = 2.0
+
+
 # ---------------------------------------------------------------------------
 # acceptance summary block
 # ---------------------------------------------------------------------------

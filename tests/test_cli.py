@@ -9,7 +9,8 @@ import pytest
 
 from hybridpath.cli import main
 from hybridpath.instance import EdgeParams, Instance, save
-from conftest import FIXTURES, FIVE_NODE_COST, FIVE_NODE_SUP_LB
+from conftest import (FIXTURES, FIVE_NODE_COST, FIVE_NODE_SUP_LB,
+                      SLD_TRAP_COST, make_sld_trap)
 
 FIVE = str(FIXTURES / "five_node.json")
 
@@ -76,6 +77,20 @@ class TestSolve:
 
     def test_bad_flag_value(self, capsys):
         assert main(["solve", FIVE, "--selection", "sideways"]) == 1
+
+    def test_inadmissible_sld_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "trap.json"
+        save(make_sld_trap(), path)
+        assert main(["solve", str(path), "--heuristic", "sld",
+                     "--out", str(tmp_path / "x.json")]) == 1
+        captured = capsys.readouterr()
+        assert "status=" not in captured.out
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "inadmissible" in captured.err
+        assert main(["solve", str(path),
+                     "--out", str(tmp_path / "x.json")]) == 0
+        assert float(stats_line(capsys)["cost"]) == SLD_TRAP_COST
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.update(b0=math.inf),
@@ -151,6 +166,22 @@ class TestGenerate:
         path.write_text(json.dumps({"instances": []}))
         assert main(["generate", str(path), str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("manifest", [
+        {"instances": [5]},
+        [{"id": "a"}],
+        {"defaults": 3, "instances": [{"id": "a"}]},
+        {"instances": {"id": "a"}},
+        {"instances": [{"id": "a", "n_nodes": "9"}]},
+        {"instances": [{"id": ["a"]}]},
+    ])
+    def test_malformed_manifest_one_line_error(self, tmp_path, capsys,
+                                               manifest):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["generate", str(path), str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_spec_field_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"instances": [{"id": "a", "wings": 2}]}))
@@ -210,6 +241,20 @@ class TestBench:
         assert len(flagged) == 1
         assert flagged[0]["id"] == "broken" and flagged[0]["note"]
         assert sum(1 for r in rows if r["status"] == "optimal") == 2
+
+    def test_inadmissible_sld_rows_flagged(self, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        save(make_sld_trap(), suite / "trap.json")
+        out = tmp_path / "bench.csv"
+        assert main(["bench", str(suite), "--out", str(out),
+                     "--heuristic", "sup,sld"]) == 1
+        rows = {r["heuristic"]: r for r in read_csv(out)}
+        assert rows["sup"]["status"] == "optimal"
+        assert float(rows["sup"]["cost"]) == SLD_TRAP_COST
+        assert rows["sld"]["status"] == "error"
+        assert rows["sld"]["cost"] == ""
+        assert "inadmissible" in rows["sld"]["note"]
 
     def test_aggregate_output(self, tmp_path, capsys):
         suite = make_suite(tmp_path)

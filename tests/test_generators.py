@@ -209,6 +209,17 @@ class TestGenSpec:
         with pytest.raises(ValueError):
             GenSpec(n_nodes=10, quantization=0.0)
 
+    @pytest.mark.parametrize("field", [
+        dict(n_nodes=9.5), dict(n_nodes=True), dict(k_neighbors=2.5),
+        dict(seed="x"), dict(b_frac="0.3"), dict(alpha=math.nan),
+        dict(noise_target=None), dict(zone_count_range=3),
+        dict(zone_side_range=(0.1,)), dict(dims=5), dict(dims=(2.5, 4)),
+    ])
+    def test_wrong_types_rejected(self, field):
+        doc = {"n_nodes": 12, **field}
+        with pytest.raises(ValueError):
+            GenSpec.from_dict(doc)
+
     def test_meta_carries_spec_and_stats(self):
         inst = generate(GenSpec(n_nodes=30, seed=2))
         for key in ("n_nodes", "family", "seed", "noise_fraction",

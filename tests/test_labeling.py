@@ -11,8 +11,8 @@ from hybridpath.instance import EdgeParams, Instance, check_solution
 from hybridpath.labeling import (Label, OpenList, SolverConfig, extend,
                                  extract_path, select_label, select_node,
                                  solve)
-from conftest import (REVISIT_TRAP_COST, TRIANGLE_COST, FIVE_NODE_COST,
-                      FIVE_NODE_PATH)
+from conftest import (REVISIT_TRAP_COST, SLD_TRAP_COST, TRIANGLE_COST,
+                      FIVE_NODE_COST, FIVE_NODE_PATH, make_sld_trap)
 
 ALL_CONFIGS = [SolverConfig(selection=sel, heuristic=heur)
                for sel in ("label", "node")
@@ -209,6 +209,52 @@ class TestOpenList:
         ol.pop_min()  # close it
         assert not offer(ol, d=6.0, b=9, q=9)
 
+    def test_popped_label_rejects_dominated_smaller_cost(self):
+        # under label selection with a consistent heuristic no later
+        # candidate can have a smaller d, so the closed staircase drops d
+        ol = OpenList(1)
+        offer(ol, d=5.0, b=10, q=10)
+        ol.pop_min()
+        assert not offer(ol, d=4.0, b=9, q=10)
+        assert ol.pruned == 1
+        assert offer(ol, d=4.0, b=11, q=9)
+
+    def test_staircase_generator_bit(self):
+        ol = OpenList(1)
+        offer(ol, d=5.0, b=10, q=10, s=True)
+        ol.pop_min()
+        assert not offer(ol, d=6.0, b=10, q=10, s=False)
+        ol = OpenList(1)
+        offer(ol, d=5.0, b=10, q=10, s=False)
+        ol.pop_min()
+        assert offer(ol, d=6.0, b=10, q=10, s=True)
+        assert not offer(ol, d=6.0, b=10, q=10, s=False)
+
+    def test_staircase_keeps_incomparable_closed_labels(self):
+        ol = OpenList(1)
+        for b, q in ((10, 1), (1, 10), (6, 6), (5, 5), (6, 7)):
+            offer(ol, d=1.0, b=b, q=q)
+            ol.pop_min()
+        # (5, 5) was closed under (6, 6), and (6, 7) replaced (6, 6)
+        for b, q in ((10, 1), (1, 10), (6, 7), (2, 7), (9, 1)):
+            assert not offer(ol, d=2.0, b=b, q=q)
+        for b, q in ((7, 2), (2, 8), (11, 0), (0, 11)):
+            assert offer(ol, d=2.0, b=b, q=q)
+
+    def test_masked_closed_label_still_needs_smaller_cost(self):
+        ol = OpenList(1)
+        offer(ol, d=5.0, b=10, q=10, mask=0b1)
+        ol.pop_min()
+        assert offer(ol, d=4.0, b=9, q=9, mask=0b1)
+        assert not offer(ol, d=6.0, b=9, q=8, mask=0b1)
+
+    def test_node_selection_closed_label_still_needs_smaller_cost(self):
+        ol = OpenList(1)
+        offer(ol, d=5.0, b=10, q=10)
+        ol.take_node(0)
+        assert offer(ol, d=4.0, b=9, q=9)
+        assert not offer(ol, d=6.0, b=9, q=8)
+
     def test_incomparable_coexist(self):
         ol = OpenList(1)
         assert offer(ol, d=5.0, b=10, q=10)
@@ -257,6 +303,11 @@ class TestSolve:
 
     def test_five_node(self, five_node):
         for config in ALL_CONFIGS:
+            if config.heuristic == "sld":
+                # edge 3->2 costs 1.0 across a chord of sqrt(2)
+                with pytest.raises(ValueError, match="inadmissible"):
+                    solve(five_node, config)
+                continue
             res = solve(five_node, config)
             assert res.solution.cost == FIVE_NODE_COST
             assert res.solution.path == FIVE_NODE_PATH
@@ -301,6 +352,14 @@ class TestSolve:
     def test_time_budget(self, five_node):
         res = solve(five_node, SolverConfig(max_seconds=0.0))
         assert res.status == "limit"
+
+    def test_inadmissible_sld_rejected(self):
+        inst = make_sld_trap()
+        assert solve(inst).solution.cost == SLD_TRAP_COST
+        for selection in ("label", "node"):
+            with pytest.raises(ValueError, match="inadmissible"):
+                solve(inst, SolverConfig(selection=selection,
+                                         heuristic="sld"))
 
     def test_mismatched_table_kind(self, five_node):
         with pytest.raises(ValueError, match="table kind"):
@@ -389,6 +448,28 @@ class TestSolveProperties:
             assert all(q == 0 for q in res.solution.fuel)
             checked += 1
         assert checked >= 2
+
+
+def test_label_selection_matches_node_selection():
+    """The closed staircase only acts under label selection; node
+    selection keeps every label in the exact lists, so it is the
+    reference for the label configs on mid-sized instances."""
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for i in range(10):
+            spec = GenSpec(n_nodes=(100, 150, 200, 250, 300)[i % 5],
+                           family="euclidean", dim=2 + i % 2,
+                           k_neighbors=4 + 2 * (i % 3), seed=i,
+                           v_frac=0.04 if i % 2 else 0.0)
+            inst = generate(spec)
+            want = solve(inst, SolverConfig(selection="node")).solution.cost
+            for heuristic in ("sup", "sld"):
+                res = solve(inst, SolverConfig(heuristic=heuristic))
+                assert res.solution.cost == want, (i, heuristic)
+                assert check_solution(inst, res.solution) is None
+            checked += 1
+    assert checked == 10
 
 
 class TestExtractPath:
