@@ -199,7 +199,16 @@ def _suite_files(suite_dir: Path) -> List[Path]:
     if suite_json.exists():
         with open(suite_json, "r", encoding="utf-8") as fh:
             suite = json.load(fh)
-        return [suite_dir / rec["file"] for rec in suite["instances"]]
+        if not isinstance(suite, dict):
+            raise ValueError(f"{suite_json}: root must be a JSON object")
+        entries = suite.get("instances")
+        if not isinstance(entries, list):
+            raise ValueError(f"{suite_json}: 'instances' must be a list")
+        if not all(isinstance(rec, dict) and isinstance(rec.get("file"), str)
+                   for rec in entries):
+            raise ValueError(f"{suite_json}: every 'instances' entry must "
+                             "be an object with a string 'file'")
+        return [suite_dir / rec["file"] for rec in entries]
     files = sorted(p for p in suite_dir.glob("*.json")
                    if p.name != "suite.json"
                    and not p.name.endswith(".solution.json"))
@@ -358,13 +367,18 @@ def cmd_verify(args) -> int:
     suite_dir = Path(args.suite)
     try:
         files = _suite_files(suite_dir)
-    except FileNotFoundError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    checked = matched = skipped = 0
+    checked = matched = skipped = unreadable = 0
     for path in files:
-        instance = load(path)
+        try:
+            instance = load(path)
+        except (FormatError, InvalidInstanceError, OSError) as exc:
+            print(f"{path.stem}: error ({exc})")
+            unreadable += 1
+            continue
         try:
             oracle = verify.oracle_solve(instance)
         except verify.OracleBudgetError as exc:
@@ -408,8 +422,9 @@ def cmd_verify(args) -> int:
             print(f"{path.stem}: ok ({cost})" + "".join(
                 f", {h} skipped (inadmissible)" for h in skipped_heur))
             matched += 1
-    print(f"{matched}/{checked} matched, {skipped} skipped")
-    return EXIT_OK if matched == checked else EXIT_ERROR
+    print(f"{matched}/{checked} matched, {skipped} skipped"
+          + (f", {unreadable} unreadable" if unreadable else ""))
+    return EXIT_OK if matched == checked and not unreadable else EXIT_ERROR
 
 
 # ---------------------------------------------------------------------------

@@ -502,12 +502,14 @@ def solution_loads(data, instance: Instance) -> Solution:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError("document root must be an object")
     q = instance.quantization
     return Solution(
-        path=tuple(_integer(n, "path") for n in _require(doc, "path")),
-        gen=tuple(_boolean(g, "gen") for g in _require(doc, "gen")),
-        cost=float(_require(doc, "cost")),
+        path=tuple(_integer(n, "path") for n in _list(doc, "path")),
+        gen=tuple(_boolean(g, "gen") for g in _list(doc, "gen")),
+        cost=float(_number(_require(doc, "cost"), "cost")),
         battery=tuple(_units(b, q, "battery")[0]
-                      for b in _require(doc, "battery")),
-        fuel=tuple(_units(f, q, "fuel")[0] for f in _require(doc, "fuel")),
+                      for b in _list(doc, "battery")),
+        fuel=tuple(_units(f, q, "fuel")[0] for f in _list(doc, "fuel")),
     )

@@ -16,11 +16,13 @@ always, ``sld`` whenever it is admissible, which ``solve`` requires),
 labels close in nondecreasing f, so a label closed at a node has d no
 larger than any candidate generated there later.  Candidates are
 therefore tested against closed labels on (b, q, s) alone, through a
-per-node Pareto staircase searched by bisection (see ``OpenList``).  Node
-selection keeps its closed labels in the exact (d, b, q, s, mask) lists:
-it closes every open label of the chosen node at once, including labels
-whose f exceeds the open minimum, and a later candidate there can have a
-smaller d than those.
+per-node Pareto staircase searched by bisection (see ``OpenList``).  All
+other labels sit in one d-sorted list of Label objects per node and are
+compared on (d, b, q, s, mask).  Node selection keeps its closed labels
+there: it closes every open label of the chosen node at once, including
+labels whose f exceeds the open minimum, and a later candidate there can
+have a smaller d than those.  So that list mixes open and closed labels,
+and ``take_node`` picks the open ones by their ``in_open`` flag.
 
 The startup drain applies with transition semantics: the battery pays the
 startup cost only on an off -> on switch of the generator (the start node
@@ -56,6 +58,7 @@ import math
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from .heuristics import HeuristicTable, make_table
@@ -136,6 +139,9 @@ def extend(label: Label, edge: EdgeParams, gen_on: bool, instance: Instance,
     return Label(edge.v, d, b, q, gen_on, f, label, gen_on, label.mask | bit)
 
 
+_by_d = attrgetter("d")
+
+
 def _covers(bs: list, qs: list, b, q) -> bool:
     """Whether a (b, q) staircase (b ascending, q descending) holds an
     entry with b' >= b and q' >= q."""
@@ -147,12 +153,12 @@ class OpenList:
     """Priority structure over open labels keyed by f-cost.
 
     Ties break toward larger battery, then larger fuel, then insertion
-    order.  Each node's dominance store has two parts.  Open labels, and
+    order.  Each node keeps two things.  One list of Label objects sorted
+    by d (so rejection scans stop early) holds its open labels and the
     closed labels that carry a critical mask or were closed by
-    ``take_node``, sit in a list kept sorted by cost (so rejection scans
-    stop early); they are compared on (d, b, q, s, mask), and an accepted
-    candidate evicts the ones it dominates.  A label closed by
-    ``pop_min`` with an empty mask moves instead to the node's closed
+    ``take_node``; they are compared on (d, b, q, s, mask), and an
+    accepted candidate evicts the ones it dominates.  A label closed by
+    ``pop_min`` with an empty mask leaves the list for the node's closed
     (b, q) staircase for its generator bit: the Pareto front of closed
     labels, b ascending and q descending, probed with ``bisect``.  Every
     candidate is tested against the generator-on staircase, one with the
@@ -161,16 +167,13 @@ class OpenList:
     pop labels in f order and the heuristic is consistent, so every
     label closed at a node has d no larger than any candidate generated
     there later.  Staircase entries are never evicted.  Heap entries of
-    evicted labels are dropped lazily.
+    evicted labels are dropped lazily, as ``in_open`` is what marks a
+    label open.
     """
 
     def __init__(self, n_nodes: int):
         self._heap: List[tuple] = []
-        # per node: costs (sorted), aligned (d, b, q, s, mask, label)
-        # tuples, and the currently open labels
-        self._costs: List[List[float]] = [[] for _ in range(n_nodes)]
-        self._dom: List[List[tuple]] = [[] for _ in range(n_nodes)]
-        self.open_by_node: List[List[Label]] = [[] for _ in range(n_nodes)]
+        self._labels: List[List[Label]] = [[] for _ in range(n_nodes)]
         # per node: None until a label closes there, then the closed
         # staircases [b_off, q_off, b_on, q_on]
         self._closed: List[Optional[List[list]]] = [None] * n_nodes
@@ -201,37 +204,33 @@ class OpenList:
             self.pruned += 1
             return None
 
-        costs = self._costs[node]
-        dom = self._dom[node]
-        for e in dom[:bisect_right(costs, d)]:
-            if e[1] >= b and e[2] >= q and e[3] >= s \
-                    and (e[4] | mask) == mask:
+        labels = self._labels[node]
+        for e in labels[:bisect_right(labels, d, key=_by_d)]:
+            if e.b >= b and e.q >= q and e.s >= s \
+                    and (e.mask | mask) == mask:
                 self.pruned += 1
                 return None
 
-        lo = bisect_left(costs, d)
-        i = len(costs) - 1
+        # evictions delete only at indices >= lo, so lo stays the
+        # candidate's insert position
+        lo = bisect_left(labels, d, key=_by_d)
+        i = len(labels) - 1
         while i >= lo:
-            e = dom[i]
-            if b >= e[1] and q >= e[2] and s >= e[3] \
-                    and (mask | e[4]) == e[4]:
-                lab = e[5]
-                if lab.in_open:
-                    lab.in_open = False
+            e = labels[i]
+            if b >= e.b and q >= e.q and s >= e.s \
+                    and (mask | e.mask) == e.mask:
+                if e.in_open:
+                    e.in_open = False
                     self.n_open -= 1
-                    self.open_by_node[node].remove(lab)
                 self.pruned += 1
-                del dom[i], costs[i]
+                del labels[i]
             i -= 1
 
         label = Label(node, d, b, q, s, f, parent, gen, mask)
         label.seq = self._seq
         self._seq += 1
         label.in_open = True
-        pos = bisect_left(costs, d)
-        costs.insert(pos, d)
-        dom.insert(pos, (d, b, q, s, mask, label))
-        self.open_by_node[node].append(label)
+        labels.insert(lo, label)
         heapq.heappush(self._heap, (f, -b, -q, label.seq, label))
         self.n_open += 1
         return label
@@ -240,12 +239,11 @@ class OpenList:
         """Move a popped label with an empty mask from the node's sorted
         list to its closed staircase."""
         node = label.node
-        costs = self._costs[node]
-        dom = self._dom[node]
-        i = bisect_left(costs, label.d)
-        while dom[i][5] is not label:
+        labels = self._labels[node]
+        i = bisect_left(labels, label.d, key=_by_d)
+        while labels[i] is not label:
             i += 1
-        del dom[i], costs[i]
+        del labels[i]
         closed = self._closed[node]
         if closed is None:
             closed = self._closed[node] = [[], [], [], []]
@@ -279,19 +277,18 @@ class OpenList:
             if label.in_open:
                 label.in_open = False
                 self.n_open -= 1
-                self.open_by_node[label.node].remove(label)
                 if not label.mask:
                     self._close(label)
                 return label
         return None
 
     def take_node(self, node: int) -> List[Label]:
-        """Remove and return every open label of ``node``.  They stay in
-        the node's sorted list: node selection closes labels whose f
-        exceeds the open minimum, so the staircase contract does not
-        hold for them."""
-        labels = self.open_by_node[node]
-        self.open_by_node[node] = []
+        """Remove and return every open label of ``node``, in d order.
+        They stay in the node's sorted list, which also holds the node's
+        closed labels, hence the ``in_open`` filter: node selection
+        closes labels whose f exceeds the open minimum, so the staircase
+        contract does not hold for them."""
+        labels = [e for e in self._labels[node] if e.in_open]
         for e in labels:
             e.in_open = False
         self.n_open -= len(labels)

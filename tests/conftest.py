@@ -97,6 +97,32 @@ def make_sld_trap():
 SLD_TRAP_COST = 2.0
 
 
+def make_fuel_trap():
+    """Fuel decides dominance.  Running the generator up 0-1 reaches node
+    1 at cost 1 with a full battery (10, clamped) but only 6 fuel; the
+    noisy detour 0-4-1 arrives at cost 2 with battery 8 and all 10 fuel.
+    The finish 1-2-3 needs the generator to burn 10 fuel on 1-2 (drain
+    8), then a full battery for the noisy 2-3 (drain 10), so only the
+    detour label completes.  A dominance check that ignores fuel lets the
+    cheaper label discard it and reports infeasible; the optimum is
+    (0, 4, 1, 2, 3) at cost 4 (hand-enumerated)."""
+    return Instance(
+        nodes=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (0.5, 0.0)),
+        edges=(
+            EdgeParams(0, 1, 1.0, 3, 4),
+            EdgeParams(0, 4, 1.0, 1, 0, False),
+            EdgeParams(4, 1, 1.0, 1, 0, False),
+            EdgeParams(1, 2, 1.0, 8, 10),
+            EdgeParams(2, 3, 1.0, 10, 0, False),
+        ),
+        start=0, goal=3, b0=10, bmin=0, bmax=10, q0=10, v=0,
+        quantization=1.0)
+
+
+FUEL_TRAP_COST = 4.0
+FUEL_TRAP_PATH = (0, 4, 1, 2, 3)
+
+
 # ---------------------------------------------------------------------------
 # acceptance summary block
 # ---------------------------------------------------------------------------

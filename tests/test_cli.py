@@ -283,6 +283,26 @@ class TestBench:
         assert "unknown heuristic" in capsys.readouterr().err
         assert main(["bench", str(tmp_path / "void")]) == 1
 
+    @pytest.mark.parametrize("command", ["bench", "verify"])
+    @pytest.mark.parametrize("listing", [
+        {"instances": [5]},
+        {"name": "x"},
+        [{"id": "alpha", "file": "alpha.json"}],
+        {"instances": {"id": "alpha", "file": "alpha.json"}},
+        {"instances": [{"id": "alpha", "file": 5}]},
+        {"instances": [{"id": "alpha"}]},
+    ])
+    def test_malformed_suite_json_one_line_error(self, tmp_path, capsys,
+                                                 command, listing):
+        suite = make_suite(tmp_path)
+        (suite / "suite.json").write_text(json.dumps(listing))
+        assert main([command, str(suite)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "suite.json" in captured.err
+
     def test_limit_rows_marked(self, tmp_path, capsys):
         suite = make_suite(tmp_path)
         out = tmp_path / "bench.csv"
@@ -301,6 +321,19 @@ class TestVerify:
         assert out.count(f"ok ({FIVE_NODE_COST!r})") == 2
         assert "dead: ok (infeasible)" in out
         assert "3/3 matched, 0 skipped" in out
+
+    def test_unreadable_file_reported_run_continues(self, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        shutil.copy(FIVE, suite / "a.json")
+        (suite / "b.json").write_text("{ not json")
+        shutil.copy(FIVE, suite / "c.json")
+        assert main(["verify", str(suite)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith(f"a: ok ({FIVE_NODE_COST!r})")
+        assert out[1].startswith("b: error (invalid JSON")
+        assert out[2].startswith(f"c: ok ({FIVE_NODE_COST!r})")
+        assert out[3] == "2/2 matched, 0 skipped, 1 unreadable"
 
     def test_export_milp_writes_lp(self, tmp_path, capsys):
         suite = make_suite(tmp_path)

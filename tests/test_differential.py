@@ -8,7 +8,8 @@ draws cover startup drain, a battery floor, gliding edges, clamping at
 the battery cap, noise-restricted edges and, through small integer
 coordinates, many equal-cost alternatives.  The revisit trap is pinned as
 an explicit example so a critical-node round with masked labels is always
-exercised.
+exercised, and the fuel trap so that a dominance check ignoring fuel
+fails under both selection methods.
 """
 
 import math
@@ -20,7 +21,7 @@ from hybridpath.instance import EdgeParams, Instance, check_solution
 from hybridpath.labeling import SolverConfig, solve
 from hybridpath.verify import (assignment_from_solution, build_milp,
                                check_substitution, oracle_solve)
-from conftest import make_revisit_trap
+from conftest import make_fuel_trap, make_revisit_trap
 
 CONFIGS = [SolverConfig(selection=sel, heuristic=heur)
            for sel in ("label", "node") for heur in ("sup", "sld")]
@@ -64,6 +65,7 @@ def instances(draw):
           deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(instances())
 @example(make_revisit_trap())
+@example(make_fuel_trap())
 def test_all_configs_match_oracle(inst):
     oracle = oracle_solve(inst)
     model = build_milp(inst) if oracle.solution is not None else None

@@ -276,10 +276,17 @@ class TestSolutionFormat:
     @pytest.mark.parametrize("key, value", [
         ("path", [0, 3.5, 4]), ("gen", ["false", False]),
         ("battery", [6.0, None, 0.0]), ("fuel", [7.0, math.inf, 0.0]),
+        ("cost", "4.2"), ("cost", True), ("cost", None),
+        ("path", 5), ("gen", "ft"), ("battery", {"0": 6.0}), ("fuel", 7.0),
+        (None, [0, 3, 4]),
     ])
     def test_no_silent_coercion(self, five_node, key, value):
+        # key None replaces the whole document
         from hybridpath.labeling import solve
         doc = json.loads(solution_dumps(five_node, solve(five_node).solution))
-        doc[key] = value
-        with pytest.raises(FormatError, match=f"'{key}' must be"):
+        if key is None:
+            doc, field = value, "root"
+        else:
+            doc[key], field = value, f"'{key}'"
+        with pytest.raises(FormatError, match=f"{field} must be"):
             solution_loads(json.dumps(doc), five_node)

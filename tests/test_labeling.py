@@ -11,8 +11,9 @@ from hybridpath.instance import EdgeParams, Instance, check_solution
 from hybridpath.labeling import (Label, OpenList, SolverConfig, extend,
                                  extract_path, select_label, select_node,
                                  solve)
-from conftest import (REVISIT_TRAP_COST, SLD_TRAP_COST, TRIANGLE_COST,
-                      FIVE_NODE_COST, FIVE_NODE_PATH, make_sld_trap)
+from conftest import (FUEL_TRAP_COST, FUEL_TRAP_PATH, REVISIT_TRAP_COST,
+                      SLD_TRAP_COST, TRIANGLE_COST, FIVE_NODE_COST,
+                      FIVE_NODE_PATH, make_fuel_trap, make_sld_trap)
 
 ALL_CONFIGS = [SolverConfig(selection=sel, heuristic=heur)
                for sel in ("label", "node")
@@ -320,6 +321,17 @@ class TestSolve:
             assert res.solution.cost == REVISIT_TRAP_COST
             assert res.solution.path == (0, 2, 1, 3)
             assert res.stats.rounds == 2
+
+    def test_fuel_trap_keeps_the_fuller_label(self):
+        # the label with more battery and less fuel must not discard the
+        # one that can still pay for the recharge on 1-2
+        inst = make_fuel_trap()
+        for config in ALL_CONFIGS:
+            res = solve(inst, config)
+            assert res.status == "optimal", config
+            assert res.solution.cost == FUEL_TRAP_COST
+            assert res.solution.path == FUEL_TRAP_PATH
+            assert check_solution(inst, res.solution) is None
 
     def test_no_fuel_never_burns(self, triangle):
         # q0 = 0: the fuel trace must stay flat whatever the gen bits say
