@@ -31,7 +31,7 @@ instance metadata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -339,11 +339,10 @@ def generate(spec: GenSpec) -> Instance:
                                         gliding=gliding))
 
         start, goal = farthest_pair(points)
-        placeholder = 1 + sum(e.c for e in edges)
         probe = Instance(
             nodes=tuple(tuple(p) for p in points.tolist()),
             edges=tuple(edges), start=start, goal=goal,
-            b0=placeholder, bmin=0, bmax=placeholder, q0=0, v=0,
+            b0=0, bmin=0, bmax=0, q0=0, v=0,
             quantization=spec.quantization)
         try:
             sup = sup_path(probe)
@@ -357,12 +356,11 @@ def generate(spec: GenSpec) -> Instance:
             noise_fraction=frac, noise_window_met=window_met,
             zone_count=len(zones), sup_energy_units=energy,
             undirected_edges=len(pairs), discarded_draws=discarded)
-        candidate = Instance(
-            nodes=probe.nodes, edges=probe.edges, start=start, goal=goal,
-            b0=round(spec.b_frac * energy), bmin=0,
+        candidate = replace(
+            probe, b0=round(spec.b_frac * energy),
             bmax=round(spec.b_frac * energy),
             q0=round(spec.q_frac * energy), v=round(spec.v_frac * energy),
-            quantization=spec.quantization, meta=meta)
+            meta=meta)
         problems = validate(candidate)
         if problems:
             raise RuntimeError(f"generator produced an invalid instance: "

@@ -77,14 +77,14 @@ class Label:
 
     ``mask`` is a visited-set bitmask: the full path set for hand-built
     chains fed through ``extend``, or the critical-node subset inside
-    ``solve``.  ``gen`` is the generator bit of the incoming edge,
-    ``parent`` the predecessor label (None at the start node).
+    ``solve``.  ``s`` is the generator bit of the incoming edge (off at
+    the start node), ``parent`` the predecessor label (None there).
     """
 
-    __slots__ = ("node", "d", "b", "q", "s", "f", "seq", "parent", "gen",
-                 "mask", "in_open")
+    __slots__ = ("node", "d", "b", "q", "s", "f", "seq", "parent", "mask",
+                 "in_open")
 
-    def __init__(self, node, d, b, q, s, f, parent, gen, mask):
+    def __init__(self, node, d, b, q, s, f, parent, mask):
         self.node = node
         self.d = d
         self.b = b
@@ -93,7 +93,6 @@ class Label:
         self.f = f
         self.seq = -1
         self.parent = parent
-        self.gen = gen
         self.mask = mask
         self.in_open = False
 
@@ -136,7 +135,7 @@ def extend(label: Label, edge: EdgeParams, gen_on: bool, instance: Instance,
         q = label.q
     d = label.d + edge.d
     f = d + h[edge.v] if h is not None else d
-    return Label(edge.v, d, b, q, gen_on, f, label, gen_on, label.mask | bit)
+    return Label(edge.v, d, b, q, gen_on, f, label, label.mask | bit)
 
 
 _by_d = attrgetter("d")
@@ -184,7 +183,7 @@ class OpenList:
     def __len__(self) -> int:
         return self.n_open
 
-    def insert_candidate(self, node, d, b, q, s, f, parent, gen,
+    def insert_candidate(self, node, d, b, q, s, f, parent,
                          mask) -> Optional[Label]:
         """Accept a candidate state unless an existing label at ``node``
         weakly dominates it; the Label object is built only on
@@ -226,7 +225,7 @@ class OpenList:
                 del labels[i]
             i -= 1
 
-        label = Label(node, d, b, q, s, f, parent, gen, mask)
+        label = Label(node, d, b, q, s, f, parent, mask)
         label.seq = self._seq
         self._seq += 1
         label.in_open = True
@@ -365,7 +364,7 @@ def extract_path(label: Label, instance: Instance) -> Solution:
     path = tuple(l.node for l in chain)
     return Solution(
         path=path,
-        gen=tuple(bool(l.gen) for l in chain[1:]),
+        gen=tuple(bool(l.s) for l in chain[1:]),
         cost=path_cost(instance, path),
         battery=tuple(l.b for l in chain),
         fuel=tuple(l.q for l in chain),
@@ -391,7 +390,7 @@ def _search(instance, config, h, critical_bit, stats, created, t0, budget):
     if h[instance.start] != inf:
         open_list.insert_candidate(
             instance.start, 0.0, instance.b0, instance.q0, False,
-            h[instance.start], None, False, critical_bit[instance.start])
+            h[instance.start], None, critical_bit[instance.start])
         n_created = 1
         created[instance.start] += 1
         stats.peak_open = max(stats.peak_open, 1)
@@ -428,7 +427,7 @@ def _search(instance, config, h, critical_bit, stats, created, t0, budget):
                 mask2 = mask | cbit
                 b_off = b0 - ec
                 if b_off >= bmin:
-                    if insert(v2, d2, b_off, q0, False, f2, label, False,
+                    if insert(v2, d2, b_off, q0, False, f2, label,
                               mask2) is not None:
                         n_created += 1
                         created[v2] += 1
@@ -439,7 +438,7 @@ def _search(instance, config, h, critical_bit, stats, created, t0, budget):
                         if b_on > bmax:
                             b_on = bmax
                         if insert(v2, d2, b_on, q0 - ez, True, f2, label,
-                                  True, mask2) is not None:
+                                  mask2) is not None:
                             n_created += 1
                             created[v2] += 1
             if open_list.n_open > stats.peak_open:

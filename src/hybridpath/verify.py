@@ -1,14 +1,16 @@
 """Independent correctness machinery.
 
 Two tools live here.  ``oracle_solve`` is a brute-force reference solver
-for small instances: it enumerates every simple start-to-goal path under
-every generator on/off assignment, applying the resource update rule in a
-third, independent implementation (the search and the replay checker each
-have their own).  ``build_milp`` translates an instance into a
-mixed-integer program whose ``render`` gives CPLEX LP text, so external
-solvers can cross-check the search, and the companion helpers substitute
-a solution into every row (an in-repo soundness check needing no solver)
-or import a solver's variable-value output back into a Solution.
+for small instances: one depth-first walk enumerates every simple
+start-to-goal path under every generator on/off assignment, applying the
+resource update rule in a third, independent implementation (the search
+and the replay checker each have their own).  A single step budget,
+counting every node the walk enters, bounds it.  ``build_milp``
+translates an instance into a mixed-integer program whose ``render``
+gives CPLEX LP text, so external solvers can cross-check the search, and
+the companion helpers substitute a solution into every row (an in-repo
+soundness check needing no solver) or import a solver's variable-value
+output back into a Solution.
 
 The program uses a corrected startup linearization: a binary w_uv with
 rows w_uv >= g_uv - sum(incoming g) and battery drain -V*w_uv, so the
@@ -81,59 +83,18 @@ def _oracle_step(b, q, s, edge, gen_on, bmin, bmax, v):
     return (left, q, False)
 
 
-def count_simple_paths(instance: Instance, cap: int) -> int:
-    """Number of simple start-to-goal paths, counting stops at ``cap``.
-
-    The depth-first walk also stops, returning ``cap``, once it has
-    entered ``cap`` nodes: dead-end branches cost work without adding
-    paths, so a path count alone does not bound the walk.
-    """
-    out = instance.out_edges
-    goal = instance.goal
-    on_path = [False] * instance.n_nodes
-    count = 0
-    entries = 0
-
-    def walk(node):
-        nonlocal count, entries
-        entries += 1
-        if entries >= cap:
-            count = cap
-            return
-        if node == goal:
-            count += 1
-            return
-        on_path[node] = True
-        for edge in out[node]:
-            if count >= cap:
-                break
-            if not on_path[edge.v]:
-                walk(edge.v)
-        on_path[node] = False
-
-    walk(instance.start)
-    return count
-
-
-def oracle_solve(instance: Instance, path_budget: int = 500_000,
-                 pair_budget: int = 5_000_000) -> OracleResult:
-    """Exact reference solve by depth-first enumeration.
+def oracle_solve(instance: Instance, budget: int = 500_000) -> OracleResult:
+    """Exact reference solve by one resource-aware depth-first walk.
 
     Every simple path from start to goal is expanded under every
     generator assignment of its edges, pruning a branch only when a
     resource check fails.  Among equal-cost optima the lexicographically
     smallest (path, schedule) pair is returned, so the result is
-    independent of adjacency order.  Raises OracleBudgetError when
-    counting the simple paths reaches ``path_budget`` paths or search
-    steps (see ``count_simple_paths``), or when the enumeration
-    touches more than ``pair_budget`` complete pairs.
+    independent of adjacency order.  Every node the walk enters, dead
+    end or goal, is one step; raises OracleBudgetError once the walk
+    takes more than ``budget`` steps or goes deeper than Python's
+    recursion limit.
     """
-    n_paths = count_simple_paths(instance, path_budget)
-    if n_paths >= path_budget:
-        raise OracleBudgetError(
-            f"oracle budget exceeded: more than {path_budget} simple paths "
-            "or path-search steps")
-
     out = instance.out_edges
     goal = instance.goal
     bmin, bmax, v = instance.bmin, instance.bmax, instance.v
@@ -141,17 +102,17 @@ def oracle_solve(instance: Instance, path_budget: int = 500_000,
     path: List[int] = [instance.start]
     gens: List[bool] = []
     costs: List[float] = []
-    examined = 0
+    steps = examined = 0
     best: Optional[Tuple[float, Tuple[int, ...], Tuple[bool, ...]]] = None
 
     def walk(node, b, q, s):
-        nonlocal examined, best
+        nonlocal steps, examined, best
+        steps += 1
+        if steps > budget:
+            raise OracleBudgetError(
+                f"oracle budget exceeded: more than {budget} search steps")
         if node == goal:
             examined += 1
-            if examined > pair_budget:
-                raise OracleBudgetError(
-                    f"oracle budget exceeded: more than {pair_budget} "
-                    "path-schedule pairs")
             cand = (math.fsum(costs), tuple(path), tuple(gens))
             if best is None or cand < best:
                 best = cand
@@ -173,7 +134,12 @@ def oracle_solve(instance: Instance, path_budget: int = 500_000,
                 costs.pop()
         on_path[node] = False
 
-    walk(instance.start, instance.b0, instance.q0, False)
+    try:
+        walk(instance.start, instance.b0, instance.q0, False)
+    except RecursionError:
+        raise OracleBudgetError(
+            "oracle budget exceeded: a path deeper than the recursion "
+            "limit") from None
     if best is None:
         return OracleResult(ORACLE_INFEASIBLE, None, examined)
     return OracleResult(ORACLE_OPTIMAL,

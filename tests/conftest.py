@@ -97,6 +97,20 @@ def make_sld_trap():
 SLD_TRAP_COST = 2.0
 
 
+def make_chain(n_edges, last_drain=0):
+    """The single path 0-1-...-n_edges of unit-cost edges that neither
+    drain nor recharge, so every edge before the last takes the
+    generator on or off.  With b0 = bmax = 5, a ``last_drain`` above 5
+    makes the goal unreachable only after all 2^(n_edges - 1) schedules
+    of the edges before it have been walked."""
+    edges = [EdgeParams(i, i + 1, 1.0, 0, 0) for i in range(n_edges - 1)]
+    edges.append(EdgeParams(n_edges - 1, n_edges, 1.0, last_drain, 0))
+    return Instance(
+        nodes=tuple((float(i), 0.0) for i in range(n_edges + 1)),
+        edges=tuple(edges), start=0, goal=n_edges, b0=5, bmin=0, bmax=5,
+        q0=5, v=0, quantization=1.0)
+
+
 def make_fuel_trap():
     """Fuel decides dominance.  Running the generator up 0-1 reaches node
     1 at cost 1 with a full battery (10, clamped) but only 6 fuel; the

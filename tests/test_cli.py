@@ -10,7 +10,7 @@ import pytest
 from hybridpath.cli import main
 from hybridpath.instance import EdgeParams, Instance, save
 from conftest import (FIXTURES, FIVE_NODE_COST, FIVE_NODE_SUP_LB,
-                      SLD_TRAP_COST, make_sld_trap)
+                      SLD_TRAP_COST, make_chain, make_sld_trap)
 
 FIVE = str(FIXTURES / "five_node.json")
 
@@ -335,6 +335,22 @@ class TestVerify:
         assert out[2].startswith(f"c: ok ({FIVE_NODE_COST!r})")
         assert out[3] == "2/2 matched, 0 skipped, 1 unreadable"
 
+    def test_deep_instance_skipped_run_continues(self, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        shutil.copy(FIVE, suite / "a.json")
+        save(make_chain(1200), suite / "deep.json")
+        shutil.copy(FIVE, suite / "c.json")
+        (suite / "suite.json").write_text(json.dumps({"instances": [
+            {"file": "a.json"}, {"file": "deep.json"}, {"file": "c.json"}]}))
+        assert main(["verify", str(suite)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith(f"a: ok ({FIVE_NODE_COST!r})")
+        assert out[1] == ("deep: skipped (oracle budget exceeded: a path "
+                          "deeper than the recursion limit)")
+        assert out[2].startswith(f"c: ok ({FIVE_NODE_COST!r})")
+        assert out[3] == "2/2 matched, 1 skipped"
+
     def test_export_milp_writes_lp(self, tmp_path, capsys):
         suite = make_suite(tmp_path)
         assert main(["verify", str(suite), "--export-milp"]) == 0
@@ -346,8 +362,9 @@ class TestVerify:
         import hybridpath.cli as cli
         suite = make_suite(tmp_path)
 
-        def tiny_budget(instance, path_budget=500_000, pair_budget=5_000_000):
-            raise cli.verify.OracleBudgetError("too many simple paths")
+        def tiny_budget(instance, budget=500_000):
+            raise cli.verify.OracleBudgetError(
+                "oracle budget exceeded: more than 1 search steps")
 
         monkeypatch.setattr(cli.verify, "oracle_solve", tiny_budget)
         assert main(["verify", str(suite)]) == 0

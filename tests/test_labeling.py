@@ -21,12 +21,12 @@ ALL_CONFIGS = [SolverConfig(selection=sel, heuristic=heur)
 
 
 def mklabel(node=0, d=0.0, b=0, q=0, s=False, mask=0):
-    return Label(node, d, b, q, s, d, None, s, mask)
+    return Label(node, d, b, q, s, d, None, mask)
 
 
 def offer(ol, node=0, d=0.0, b=0, q=0, s=False, mask=0):
     """Offer a state to the open list; True when it is accepted."""
-    return ol.insert_candidate(node, d, b, q, s, d, None, s, mask) is not None
+    return ol.insert_candidate(node, d, b, q, s, d, None, mask) is not None
 
 
 def dominates(a, b):

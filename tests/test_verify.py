@@ -10,12 +10,11 @@ from hybridpath.instance import EdgeParams, Instance, check_solution
 from hybridpath.labeling import solve
 from hybridpath.verify import (MilpImportError, OracleBudgetError,
                                assignment_from_solution, build_milp,
-                               check_substitution, count_simple_paths,
-                               format_assignment,
+                               check_substitution, format_assignment,
                                import_milp_solution, milp_objective,
                                oracle_solve, solve_milp)
 from conftest import (FIXTURES, FIVE_NODE_COST, FIVE_NODE_ENUMERATED,
-                      FIVE_NODE_PATH, TRIANGLE_COST)
+                      FIVE_NODE_PATH, TRIANGLE_COST, make_chain)
 
 
 class TestOracle:
@@ -53,21 +52,34 @@ class TestOracle:
         assert res.solution is None and res.cost is None
 
     def test_path_budget(self, five_node):
-        assert count_simple_paths(five_node, 100) == 5
-        with pytest.raises(OracleBudgetError, match="simple paths"):
-            oracle_solve(five_node, path_budget=3)
+        # the walk enters 29 nodes on five_node: the budget counts dead
+        # ends and goal arrivals alike, and fires only when exceeded
+        assert oracle_solve(five_node, budget=29).enumerated_count == \
+            FIVE_NODE_ENUMERATED
+        with pytest.raises(OracleBudgetError, match="28 search steps"):
+            oracle_solve(five_node, budget=28)
 
     def test_pair_budget(self, five_node):
-        with pytest.raises(OracleBudgetError, match="pairs"):
-            oracle_solve(five_node, pair_budget=2)
+        # a budget that admits every completed pair still fires: each
+        # goal arrival is one step, and so is every dead end before it
+        with pytest.raises(OracleBudgetError, match="search steps"):
+            oracle_solve(five_node, budget=FIVE_NODE_ENUMERATED)
+
+    def test_budget_bounds_schedules_of_one_path(self):
+        # one simple path and no feasible schedule: the step count is
+        # what bounds the 2^29 schedules of the 30-edge chain
+        t0 = time.perf_counter()
+        with pytest.raises(OracleBudgetError, match="search steps"):
+            oracle_solve(make_chain(30, last_drain=9))
+        assert time.perf_counter() - t0 < 5.0
 
     def test_path_budget_bounds_dead_end_search(self):
-        # few complete paths but a vast dead-end search: the path count
-        # alone never reaches the budget, the DFS step count does
+        # few complete paths but a vast dead-end search: the step count,
+        # not the number of completed pairs, reaches the budget
         inst = generate(GenSpec(n_nodes=60, seed=0, k_neighbors=4,
                                 b_frac=0.7, v_frac=0.04))
         t0 = time.perf_counter()
-        with pytest.raises(OracleBudgetError, match="simple paths"):
+        with pytest.raises(OracleBudgetError, match="search steps"):
             oracle_solve(inst)
         assert time.perf_counter() - t0 < 5.0
 
