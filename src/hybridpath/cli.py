@@ -20,8 +20,8 @@ from typing import Dict, List, Optional
 
 from . import generators, labeling, verify
 from .heuristics import make_table, sup_path
-from .instance import (FormatError, InvalidInstanceError, load, save,
-                       solution_dumps)
+from .instance import (FormatError, InvalidInstanceError, check_solution,
+                       load, save, solution_dumps)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -381,11 +381,11 @@ def cmd_verify(args) -> int:
             continue
         try:
             oracle = verify.oracle_solve(instance)
+            reference, skip = ("oracle", oracle.status, oracle.cost), None
         except verify.OracleBudgetError as exc:
-            print(f"{path.stem}: skipped ({exc})")
-            skipped += 1
-            continue
-        checked += 1
+            # no oracle: the configs must still agree, replay and satisfy
+            # the MILP rows
+            reference, skip = None, exc
         problems = []
         solved = None
         tables = {heur: make_table(instance, heur) for heur in ("sup", "sld")}
@@ -397,14 +397,20 @@ def cmd_verify(args) -> int:
                                                 heuristic=heuristic),
                 table=tables[heuristic])
             tag = f"{selection}/{heuristic}"
-            if result.status != oracle.status:
-                problems.append(f"{tag}: {result.status} vs oracle "
-                                f"{oracle.status}")
-            elif (oracle.solution is not None
-                  and result.solution.cost != oracle.cost):
-                problems.append(f"{tag}: cost {result.solution.cost!r} vs "
-                                f"oracle {oracle.cost!r}")
+            cost = None if result.solution is None else result.solution.cost
+            if reference is None:
+                reference = (tag, result.status, cost)
+            ref_tag, ref_status, ref_cost = reference
+            if result.status != ref_status:
+                problems.append(f"{tag}: {result.status} vs {ref_tag} "
+                                f"{ref_status}")
+            elif cost != ref_cost:
+                problems.append(f"{tag}: cost {cost!r} vs {ref_tag} "
+                                f"{ref_cost!r}")
             if result.solution is not None:
+                err = check_solution(instance, result.solution)
+                if err is not None:
+                    problems.append(f"{tag}: replay: {err}")
                 solved = result.solution
         if args.export_milp:
             model = verify.build_milp(instance)
@@ -414,6 +420,11 @@ def cmd_verify(args) -> int:
             if solved is not None:
                 assignment = verify.assignment_from_solution(instance, solved)
                 problems += verify.check_substitution(model, assignment)
+        if skip is not None and not problems:
+            print(f"{path.stem}: skipped ({skip})")
+            skipped += 1
+            continue
+        checked += 1
         if problems:
             print(f"{path.stem}: MISMATCH — " + "; ".join(problems))
         else:
@@ -449,12 +460,11 @@ def cmd_export_milp(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_config_flags(p, limits_only=False):
-    if not limits_only:
-        p.add_argument("--selection", default=labeling.SELECT_LABEL,
-                       help="label or node (bench: comma list)")
-        p.add_argument("--heuristic", default="sup",
-                       help="sup, sld or zero (bench: comma list)")
+def _add_config_flags(p):
+    p.add_argument("--selection", default=labeling.SELECT_LABEL,
+                   help="label or node (bench: comma list)")
+    p.add_argument("--heuristic", default="sup",
+                   help="sup, sld or zero (bench: comma list)")
     p.add_argument("--max-labels", type=int, default=None,
                    help="stop after this many labels are created")
     p.add_argument("--max-seconds", type=float, default=None,

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -217,55 +217,57 @@ def _draw_zone(rng: np.random.Generator, lo_corner: np.ndarray,
 def _apply_noise(rng, points, pairs, spec):
     """Draw zones until the restricted-edge fraction hits the window.
 
-    Returns (restricted boolean array over pairs, zone list, fraction,
-    window_met).  Zones are added while under the window and redrawn from
-    scratch when overshooting; the closest attempt wins if the window is
-    never hit (coarse graphs cannot always reach it).
+    Returns (restricted boolean array over pairs, number of zones behind
+    it, fraction, window_met).  Zones are added while under the window
+    and redrawn from scratch when overshooting; the closest attempt wins
+    if the window is never hit (coarse graphs cannot always reach it).
+    Each zone is tested against the points once, when it is drawn.
     """
+    if spec.noise_target == 0:
+        return np.zeros(len(pairs), dtype=bool), 0, 0.0, True
     lo_corner = points.min(axis=0)
     hi_corner = points.max(axis=0)
     u, v = pairs[:, 0], pairs[:, 1]
     lo = spec.noise_target - 0.03
     hi = spec.noise_target + 0.03
-    if spec.noise_target == 0:
-        return np.zeros(len(pairs), dtype=bool), [], 0.0, True
-
-    def fraction(zones):
-        mask = np.zeros(len(pairs), dtype=bool)
-        for z in zones:
-            inside = np.all((points >= z[0]) & (points <= z[1]), axis=1)
-            mask |= inside[u] & inside[v]
-        return mask, float(mask.mean()) if len(pairs) else 0.0
-
     count = int(rng.integers(spec.zone_count_range[0],
                              spec.zone_count_range[1] + 1))
-    zones = [_draw_zone(rng, lo_corner, hi_corner, spec) for _ in range(count)]
+
+    def zone_mask():
+        z = _draw_zone(rng, lo_corner, hi_corner, spec)
+        inside = np.all((points >= z[0]) & (points <= z[1]), axis=1)
+        return inside[u] & inside[v]
+
+    def fresh_mask():
+        return np.logical_or.reduce([zone_mask() for _ in range(count)])
+
+    mask, zones = fresh_mask(), count
     best = None
     for _ in range(_MAX_ZONE_ROUNDS):
-        mask, frac = fraction(zones)
+        frac = float(mask.mean())
         if best is None or abs(frac - spec.noise_target) < best[0]:
-            best = (abs(frac - spec.noise_target), mask, list(zones), frac)
+            best = (abs(frac - spec.noise_target), mask, zones, frac)
         if lo <= frac <= hi:
             return mask, zones, frac, True
         if frac < lo:
-            zones.append(_draw_zone(rng, lo_corner, hi_corner, spec))
+            mask, zones = mask | zone_mask(), zones + 1
         else:
-            zones = [_draw_zone(rng, lo_corner, hi_corner, spec)
-                     for _ in range(count)]
+            mask, zones = fresh_mask(), count
     _, mask, zones, frac = best
     return mask, zones, frac, False
+
+
+def _undirected_pairs(a, b):
+    """The distinct (min, max) rows of the edges a[i]-b[i], sorted."""
+    return np.unique(np.sort(np.stack([a, b], axis=1), axis=1), axis=0)
 
 
 def _euclidean_graph(rng, spec):
     points = rng.random((spec.n_nodes, spec.dim))
     k = min(spec.k_neighbors, spec.n_nodes - 1)
     _, idx = cKDTree(points).query(points, k=k + 1)
-    pair_set = set()
-    for a in range(spec.n_nodes):
-        for b in idx[a, 1:]:
-            pair_set.add((a, int(b)) if a < b else (int(b), a))
-    pairs = np.array(sorted(pair_set), dtype=np.int64)
-    return points, pairs
+    return points, _undirected_pairs(np.repeat(np.arange(spec.n_nodes), k),
+                                     idx[:, 1:].ravel())
 
 
 def _lattice_dims(spec) -> Tuple[int, ...]:
@@ -290,30 +292,22 @@ def _lattice_dims(spec) -> Tuple[int, ...]:
 
 def _lattice_graph(spec):
     dims = _lattice_dims(spec)
+    ids = np.arange(spec.n_nodes).reshape(dims)
+    points = np.indices(dims, dtype=float).reshape(spec.dim, -1).T
+    # one move of each opposite pair: the pairs are undirected
     if spec.dim == 2:
-        nx, ny = dims
-        coords = [(x, y) for x in range(nx) for y in range(ny)]
-        index = {c: k for k, c in enumerate(coords)}
         moves = [(1, 0), (0, 1)]
     else:
-        nx, ny, nz = dims
-        coords = [(x, y, z) for x in range(nx) for y in range(ny)
-                  for z in range(nz)]
-        index = {c: k for k, c in enumerate(coords)}
-        planar = [(1, 0), (0, 1), (-1, 0), (0, -1)]
         moves = [(1, 0, 0), (0, 1, 0)]
-        moves += [(px, py, dz) for px, py in planar for dz in (1, -1)]
-    pair_set = set()
-    for c in coords:
-        a = index[c]
-        for mv in moves:
-            nb = tuple(c[i] + mv[i] for i in range(spec.dim))
-            b = index.get(nb)
-            if b is not None:
-                pair_set.add((a, b) if a < b else (b, a))
-    points = np.array(coords, dtype=float)
-    pairs = np.array(sorted(pair_set), dtype=np.int64)
-    return points, pairs
+        moves += [(px, py, dz) for px, py in ((1, 0), (0, 1))
+                  for dz in (1, -1)]
+    a, b = [], []
+    for mv in moves:
+        src = tuple(slice(max(0, -m), n - max(0, m)) for m, n in zip(mv, dims))
+        dst = tuple(slice(max(0, m), n - max(0, -m)) for m, n in zip(mv, dims))
+        a.append(ids[src].ravel())
+        b.append(ids[dst].ravel())
+    return points, _undirected_pairs(np.concatenate(a), np.concatenate(b))
 
 
 def generate(spec: GenSpec) -> Instance:
@@ -325,7 +319,7 @@ def generate(spec: GenSpec) -> Instance:
             points, pairs = _euclidean_graph(rng, spec)
         else:
             points, pairs = _lattice_graph(spec)
-        restricted, zones, frac, window_met = _apply_noise(
+        restricted, zone_count, frac, window_met = _apply_noise(
             rng, points, pairs, spec)
 
         edges: List[EdgeParams] = []
@@ -354,7 +348,7 @@ def generate(spec: GenSpec) -> Instance:
         meta = dict(spec.to_dict())
         meta.update(
             noise_fraction=frac, noise_window_met=window_met,
-            zone_count=len(zones), sup_energy_units=energy,
+            zone_count=zone_count, sup_energy_units=energy,
             undirected_edges=len(pairs), discarded_draws=discarded)
         candidate = replace(
             probe, b0=round(spec.b_frac * energy),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .instance import Instance, path_cost
 
@@ -45,17 +45,13 @@ class PathResult:
     cost: float
 
 
-def _euclid(a: Tuple[float, ...], b: Tuple[float, ...]) -> float:
-    return math.dist(a, b)
-
-
 def sld_table(instance: Instance) -> HeuristicTable:
     """Straight-line (Euclidean) distance from every node to the goal."""
     goal = instance.nodes[instance.goal]
-    h = tuple(_euclid(coord, goal) for coord in instance.nodes)
+    h = tuple(math.dist(coord, goal) for coord in instance.nodes)
     # SLD is admissible when no edge is cheaper than its chord.
     ok = all(
-        e.d >= _euclid(instance.nodes[e.u], instance.nodes[e.v]) - 1e-9 * max(1.0, e.d)
+        e.d >= math.dist(instance.nodes[e.u], instance.nodes[e.v]) - 1e-9 * max(1.0, e.d)
         for e in instance.edges
     )
     return HeuristicTable(kind=KIND_SLD, h=h, admissible=ok)

@@ -79,10 +79,6 @@ class Instance:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
-    def dim(self) -> int:
-        return len(self.nodes[0]) if self.nodes else 0
-
     @cached_property
     def out_edges(self) -> Tuple[Tuple[EdgeParams, ...], ...]:
         """Outgoing edges per node id."""

@@ -335,7 +335,10 @@ class TestVerify:
         assert out[2].startswith(f"c: ok ({FIVE_NODE_COST!r})")
         assert out[3] == "2/2 matched, 0 skipped, 1 unreadable"
 
-    def test_deep_instance_skipped_run_continues(self, tmp_path, capsys):
+    @staticmethod
+    def deep_suite(tmp_path):
+        """a, c: the five-node fixture; deep: a chain too deep for the
+        oracle's recursive walk."""
         suite = tmp_path / "suite"
         suite.mkdir()
         shutil.copy(FIVE, suite / "a.json")
@@ -343,6 +346,10 @@ class TestVerify:
         shutil.copy(FIVE, suite / "c.json")
         (suite / "suite.json").write_text(json.dumps({"instances": [
             {"file": "a.json"}, {"file": "deep.json"}, {"file": "c.json"}]}))
+        return suite
+
+    def test_deep_instance_skipped_run_continues(self, tmp_path, capsys):
+        suite = self.deep_suite(tmp_path)
         assert main(["verify", str(suite)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith(f"a: ok ({FIVE_NODE_COST!r})")
@@ -350,6 +357,34 @@ class TestVerify:
                           "deeper than the recursion limit)")
         assert out[2].startswith(f"c: ok ({FIVE_NODE_COST!r})")
         assert out[3] == "2/2 matched, 1 skipped"
+
+    def test_skipped_file_still_exports_milp(self, tmp_path, capsys):
+        suite = self.deep_suite(tmp_path)
+        assert main(["verify", str(suite), "--export-milp"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1].startswith("deep: skipped (oracle budget exceeded")
+        assert out[3] == "2/2 matched, 1 skipped"
+        assert (suite / "deep.lp").read_text().startswith("Minimize")
+
+    def test_skipped_file_replay_failure_is_mismatch(self, tmp_path, capsys,
+                                                     monkeypatch):
+        import hybridpath.cli as cli
+        suite = self.deep_suite(tmp_path)
+        real = cli.check_solution
+
+        def fail_deep(instance, solution):
+            if instance.n_nodes > 5:
+                return "step 7: battery below bmin"
+            return real(instance, solution)
+
+        monkeypatch.setattr(cli, "check_solution", fail_deep)
+        assert main(["verify", str(suite)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith(f"a: ok ({FIVE_NODE_COST!r})")
+        assert out[1].startswith("deep: MISMATCH — label/sup: replay: "
+                                 "step 7: battery below bmin")
+        assert out[2].startswith(f"c: ok ({FIVE_NODE_COST!r})")
+        assert out[3] == "2/3 matched, 0 skipped"
 
     def test_export_milp_writes_lp(self, tmp_path, capsys):
         suite = make_suite(tmp_path)

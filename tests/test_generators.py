@@ -1,5 +1,6 @@
 """Seeded instance generation: graph shape, noise calibration, resources."""
 
+import hashlib
 import math
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 from hybridpath.generators import GenSpec, farthest_pair, generate
 from hybridpath.instance import dumps, validate
 from hybridpath.labeling import SolverConfig, solve
+from test_acceptance import _small_spec
 
 
 def degree_counts(inst):
@@ -181,6 +183,64 @@ class TestDeterminism:
     def test_lattice_reruns_identical(self):
         spec = GenSpec(n_nodes=49, family="lattice", seed=2, b_frac=0.7)
         assert dumps(generate(spec)) == dumps(generate(spec))
+
+
+# Output of generate pinned per spec: (start, goal, directed edges,
+# noise_fraction, noise_window_met, zone_count, undirected_edges,
+# sup_energy_units, discarded_draws, sha256 of the sorted
+# (u, v, gen_allowed, gliding) tuples).  Every value is integer-based, so
+# a last-ulp difference in math.dist between Python versions cannot move
+# it.  Small specs 1-4 never meet the noise window (the 400-round
+# fallback), 0 has no noise, and the 60-node tight-fuel spec discards 21
+# draws.
+_PINNED = [
+    (_small_spec(0), (1, 2, 32, 0.0, True, 0, 16, 1377, 0,
+                      "1820cfd38ac5f0aff559d0922a1c9882"
+                      "3de3b6d7fa5447be968c0cb491f7bf41")),
+    (_small_spec(1), (1, 3, 30, 0.0, False, 6, 15, 877, 0,
+                      "1105890f30667be5798233e2375906c4"
+                      "c03340adad7b72ad2e6c537b0009bf61")),
+    (_small_spec(2), (0, 8, 24, 0.0, False, 6, 12, 4000, 0,
+                      "1357cf67ecdd1fa9507b47a25d9513e1"
+                      "3d8db41ccff603019a7e27566ea035d0")),
+    (_small_spec(3), (0, 7, 32, 0.0, False, 6, 16, 3121, 0,
+                      "0001e4713f9f38d52b97bbe67e650627"
+                      "889a91e9c30169d1323ed8ba5afba101")),
+    (_small_spec(4), (1, 6, 38, 5 / 19, False, 26, 19, 927, 0,
+                      "dadc65bd8d3d6fd310468bf9826d343f"
+                      "6b3ca73c26c2bef73415eb9d83e98fca")),
+    (GenSpec(n_nodes=300, seed=0),
+     (1, 13, 1472, 234 / 736, True, 11, 736, 1643, 0,
+      "5a6e35e91d782f832224eab1d265dad5"
+      "ffd96788118e020c9de59d1236a5966f")),
+    (GenSpec(n_nodes=216, family="lattice", dim=3, seed=1),
+     (0, 215, 1920, 277 / 960, False, 399, 960, 15605, 0,
+      "d9bd398688e57df835cca344ab48b069"
+      "cfc5ef26b67f34582dbd8a4f7aa2c13a")),
+    (GenSpec(n_nodes=60, q_frac=0.7, seed=3),
+     (2, 26, 294, 43 / 147, True, 25, 147, 1710, 21,
+      "2756fce923ee21a1920f98d6eea11a18"
+      "3c0ee6d87c75160ad32b4a86418fd1b8")),
+]
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("spec, expected", _PINNED, ids=[
+        "small0", "small1", "small2", "small3", "small4", "euclid300",
+        "lattice216", "tight60"])
+    def test_generate_matches_pinned(self, spec, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inst = generate(spec)
+        meta = inst.meta
+        digest = hashlib.sha256(repr(sorted(
+            (e.u, e.v, e.gen_allowed, e.gliding) for e in inst.edges)
+        ).encode()).hexdigest()
+        assert (inst.start, inst.goal, len(inst.edges),
+                meta["noise_fraction"], meta["noise_window_met"],
+                meta["zone_count"], meta["undirected_edges"],
+                meta["sup_energy_units"], meta["discarded_draws"],
+                digest) == expected
 
 
 class TestGenSpec:
