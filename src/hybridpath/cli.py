@@ -93,8 +93,7 @@ def cmd_generate(args) -> int:
         raise ValueError("manifest must be a JSON object")
     entries = manifest.get("instances")
     if not entries:
-        print("error: manifest has no instances", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("manifest has no instances")
     if not isinstance(entries, list) or not all(
             isinstance(entry, dict) for entry in entries):
         raise ValueError("manifest 'instances' must be a list of objects")
@@ -113,9 +112,8 @@ def cmd_generate(args) -> int:
         entry = dict(entry)
         eid = entry.pop("id", None)
         if not eid or not isinstance(eid, str) or eid in seen:
-            print(f"error: missing, non-string or duplicate instance id "
-                  f"{eid!r}", file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError(f"missing, non-string or duplicate instance id "
+                             f"{eid!r}")
         seen.add(eid)
         spec = generators.GenSpec.from_dict({**defaults, **entry})
         instance = generators.generate(spec)
@@ -164,7 +162,7 @@ def cmd_solve(args) -> int:
         parts.append(f"cost={result.solution.cost!r}")
     if lb is not None:
         parts.append(f"sup_lower_bound={lb!r}")
-    if result.status == labeling.STATUS_LIMIT and result.lower_bound is not None:
+    if result.status == labeling.STATUS_LIMIT:
         parts.append(f"open_lower_bound={result.lower_bound!r}")
     parts += [
         f"wall_time={s.wall_time:.6f}", f"table_time={table_time:.6f}",
@@ -302,16 +300,12 @@ def _aggregate_rows(rows) -> List[Dict[str, object]]:
 
 def cmd_bench(args) -> int:
     suite_dir = Path(args.suite)
-    try:
-        selections = _split_choices(args.selection,
-                                    (labeling.SELECT_LABEL,
-                                     labeling.SELECT_NODE), "selection")
-        heuristics = _split_choices(args.heuristic, ("sld", "sup", "zero"),
-                                    "heuristic")
-        files = _suite_files(suite_dir)
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    selections = _split_choices(args.selection,
+                                (labeling.SELECT_LABEL, labeling.SELECT_NODE),
+                                "selection")
+    heuristics = _split_choices(args.heuristic, ("sld", "sup", "zero"),
+                                "heuristic")
+    files = _suite_files(suite_dir)
 
     worker_args = [(str(p), selections, heuristics, args.max_labels,
                     args.max_seconds) for p in files]
@@ -364,13 +358,7 @@ _VERIFY_CONFIGS = tuple(
 
 
 def cmd_verify(args) -> int:
-    suite_dir = Path(args.suite)
-    try:
-        files = _suite_files(suite_dir)
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
+    files = _suite_files(Path(args.suite))
     checked = matched = skipped = unreadable = 0
     for path in files:
         try:

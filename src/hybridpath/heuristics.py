@@ -26,10 +26,10 @@ INF = math.inf
 class HeuristicTable:
     """Per-node cost-to-go estimates; h[goal] = 0, unreachable nodes +inf.
 
-    ``admissible`` is a construction-time hint: for SLD it records whether
-    every edge cost is at least the Euclidean distance between its
-    endpoints (the condition under which SLD never over-estimates); SUP
-    and ZERO are admissible by construction.
+    ``admissible`` records, for SLD, whether every edge cost is at least
+    the Euclidean distance between its endpoints (the condition under
+    which SLD never over-estimates); SUP and ZERO are admissible by
+    construction.  ``labeling.solve`` rejects a table that is not.
     """
 
     kind: str

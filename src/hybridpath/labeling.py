@@ -9,7 +9,10 @@ heuristic h, so the first goal label selected is optimal.
 
 Two selection methods are supported: ``label`` treats the single open
 label of minimum f per iteration, ``node`` treats every open label of the
-node owning the minimum-f label.
+node owning the minimum-f label.  The label and time limits are checked
+at one point, before each selection, so a node-selection batch is always
+treated whole before a limit stops the search, and the bound it reports
+is the minimum f over the labels not yet treated.
 
 Under label selection with a consistent heuristic (``sup`` and ``zero``
 always, ``sld`` whenever it is admissible, which ``solve`` requires),
@@ -59,7 +62,7 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .heuristics import HeuristicTable, make_table
 from .instance import EdgeParams, Instance, Solution, path_cost
@@ -152,8 +155,11 @@ class OpenList:
     """Priority structure over open labels keyed by f-cost.
 
     Ties break toward larger battery, then larger fuel, then insertion
-    order.  Each node keeps two things.  One list of Label objects sorted
-    by d (so rejection scans stop early) holds its open labels and the
+    order: ``created`` numbers the accepted labels and so counts them,
+    and ``created_per_node`` counts them per node.
+
+    Each node keeps two things.  One list of Label objects sorted by d
+    (so rejection scans stop early) holds its open labels and the
     closed labels that carry a critical mask or were closed by
     ``take_node``; they are compared on (d, b, q, s, mask), and an
     accepted candidate evicts the ones it dominates.  A label closed by
@@ -176,7 +182,8 @@ class OpenList:
         # per node: None until a label closes there, then the closed
         # staircases [b_off, q_off, b_on, q_on]
         self._closed: List[Optional[List[list]]] = [None] * n_nodes
-        self._seq = 0
+        self.created = 0
+        self.created_per_node = [0] * n_nodes
         self.n_open = 0
         self.pruned = 0
 
@@ -226,8 +233,9 @@ class OpenList:
             i -= 1
 
         label = Label(node, d, b, q, s, f, parent, mask)
-        label.seq = self._seq
-        self._seq += 1
+        label.seq = self.created
+        self.created += 1
+        self.created_per_node[node] += 1
         label.in_open = True
         labels.insert(lo, label)
         heapq.heappush(self._heap, (f, -b, -q, label.seq, label))
@@ -282,35 +290,18 @@ class OpenList:
         return None
 
     def take_node(self, node: int) -> List[Label]:
-        """Remove and return every open label of ``node``, in d order.
-        They stay in the node's sorted list, which also holds the node's
-        closed labels, hence the ``in_open`` filter: node selection
-        closes labels whose f exceeds the open minimum, so the staircase
-        contract does not hold for them."""
+        """Remove and return every open label of ``node`` in heap order
+        (ascending f, then the tie-breaks).  They stay in the node's
+        sorted list, which also holds the node's closed labels, hence the
+        ``in_open`` filter: node selection closes labels whose f exceeds
+        the open minimum, so the staircase contract does not hold for
+        them."""
         labels = [e for e in self._labels[node] if e.in_open]
         for e in labels:
             e.in_open = False
         self.n_open -= len(labels)
+        labels.sort(key=lambda l: (l.f, -l.b, -l.q, l.seq))
         return labels
-
-
-def select_label(open_list: OpenList) -> Tuple[List[Label], int]:
-    """Minimum-f open label (documented tie-break), as a singleton list."""
-    label = open_list.pop_min()
-    if label is None:
-        raise ValueError("open list is empty")
-    return [label], label.node
-
-
-def select_node(open_list: OpenList) -> Tuple[List[Label], int]:
-    """All open labels of the node holding the minimum-f open label,
-    removed from the open list and ordered by ascending f."""
-    best = open_list.peek_min()
-    if best is None:
-        raise ValueError("open list is empty")
-    labels = open_list.take_node(best.node)
-    labels.sort(key=lambda l: (l.f, -l.b, -l.q, l.seq))
-    return labels, best.node
 
 
 @dataclass(frozen=True)
@@ -341,8 +332,11 @@ class SolveStats:
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of a solve: status is ``optimal``, ``infeasible`` or
-    ``limit``.  ``lower_bound`` is the smallest f-cost still open at the
-    stop point (the optimal cost itself when status is optimal)."""
+    ``limit``.  ``lower_bound`` is the optimal cost itself when status is
+    optimal.  At a limit it is the smallest f over the untreated labels:
+    limits are checked between selections, so under node selection the
+    current batch is finished first and none of its labels is left out
+    of the bound."""
 
     status: str
     solution: Optional[Solution]
@@ -371,88 +365,76 @@ def extract_path(label: Label, instance: Instance) -> Solution:
     )
 
 
-def _search(instance, config, h, critical_bit, stats, created, t0, budget):
+def _search(instance, config, h, critical_bit, stats, created, t0):
     """One labeling pass with the current critical-node set.
 
     Returns (status, best goal label or None, lower bound or None) and
     accumulates counts into ``stats``/``created``.  ``critical_bit`` maps
-    node id to its mask bit (0 for freely revisitable nodes)."""
-    n = instance.n_nodes
+    node id to its mask bit (0 for freely revisitable nodes).  Limits are
+    checked once per selection, at the top of the loop (see the module
+    docstring)."""
     inf = math.inf
     goal = instance.goal
     bmin, bmax, v_cost = instance.bmin, instance.bmax, instance.v
-    adj = [tuple((e.v, e.d, e.c, e.z, e.gen_allowed) for e in lst)
+    # edges into nodes that cannot reach the goal are dropped here, once
+    adj = [tuple((e.v, e.d, e.c, e.z, e.gen_allowed, h[e.v],
+                  critical_bit[e.v]) for e in lst if h[e.v] != inf)
            for lst in instance.out_edges]
-    max_seconds = config.max_seconds
+    max_labels, max_seconds = config.max_labels, config.max_seconds
+    by_node = config.selection == SELECT_NODE
 
-    open_list = OpenList(n)
-    n_created = 0
-    if h[instance.start] != inf:
-        open_list.insert_candidate(
-            instance.start, 0.0, instance.b0, instance.q0, False,
-            h[instance.start], None, critical_bit[instance.start])
-        n_created = 1
-        created[instance.start] += 1
+    open_list = OpenList(instance.n_nodes)
+    insert = open_list.insert_candidate
+    start = instance.start
+    if h[start] != inf:
+        insert(start, 0.0, instance.b0, instance.q0, False, h[start], None,
+               critical_bit[start])
         stats.peak_open = max(stats.peak_open, 1)
 
-    select = select_label if config.selection == SELECT_LABEL else select_node
     status, best, bound = STATUS_INFEASIBLE, None, None
-
     while open_list.n_open:
-        if max_seconds is not None and time.perf_counter() - t0 > max_seconds:
-            top = open_list.peek_min()
-            status, bound = STATUS_LIMIT, top.f if top else None
+        if (max_labels is not None
+                and stats.labels_created + open_list.created > max_labels
+                or max_seconds is not None
+                and time.perf_counter() - t0 > max_seconds):
+            status, bound = STATUS_LIMIT, open_list.peek_min().f
             break
-        labels, node = select(open_list)
-        if node == goal:
-            status, best, bound = STATUS_OPTIMAL, labels[0], labels[0].d
+        if by_node:
+            labels = open_list.take_node(open_list.peek_min().node)
+        else:
+            labels = (open_list.pop_min(),)
+        first = labels[0]
+        if first.node == goal:
+            status, best, bound = STATUS_OPTIMAL, first, first.d
             break
-        edges = adj[node]
-        insert = open_list.insert_candidate
-        stop = False
+        edges = adj[first.node]
         for label in labels:
             stats.labels_treated += 1
-            d0, b0, q0 = label.d, label.b, label.q
-            s0, mask = label.s, label.mask
-            startup = 0 if s0 else v_cost
-            for v2, ed, ec, ez, allowed in edges:
-                cbit = critical_bit[v2]
-                if cbit and mask & cbit:
-                    continue
-                hv = h[v2]
-                if hv == inf:
+            d0, b0, q0, mask = label.d, label.b, label.q, label.mask
+            startup = 0 if label.s else v_cost
+            for v2, ed, ec, ez, allowed, hv, cbit in edges:
+                if mask & cbit:
                     continue
                 d2 = d0 + ed
                 f2 = d2 + hv
                 mask2 = mask | cbit
                 b_off = b0 - ec
                 if b_off >= bmin:
-                    if insert(v2, d2, b_off, q0, False, f2, label,
-                              mask2) is not None:
-                        n_created += 1
-                        created[v2] += 1
+                    insert(v2, d2, b_off, q0, False, f2, label, mask2)
                 if allowed and ez <= q0:
                     b_mid = b0 - ec - startup
                     if b_mid >= bmin:
                         b_on = b_mid + ez
                         if b_on > bmax:
                             b_on = bmax
-                        if insert(v2, d2, b_on, q0 - ez, True, f2, label,
-                                  mask2) is not None:
-                            n_created += 1
-                            created[v2] += 1
+                        insert(v2, d2, b_on, q0 - ez, True, f2, label, mask2)
             if open_list.n_open > stats.peak_open:
                 stats.peak_open = open_list.n_open
-            if budget is not None and stats.labels_created + n_created > budget:
-                top = open_list.peek_min()
-                status, bound = STATUS_LIMIT, top.f if top else None
-                stop = True
-                break
-        if stop:
-            break
-    stats.labels_created += n_created
+    stats.labels_created += open_list.created
     stats.labels_pruned += open_list.pruned
     stats.rounds += 1
+    for v, k in enumerate(open_list.created_per_node):
+        created[v] += k
     return status, best, bound
 
 
@@ -502,8 +484,7 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig(),
     try:
         while True:
             status, best, bound = _search(
-                instance, config, table.h, critical_bit, stats, created, t0,
-                config.max_labels)
+                instance, config, table.h, critical_bit, stats, created, t0)
             if status != STATUS_OPTIMAL:
                 return finish(status, bound=bound)
             solution = extract_path(best, instance)

@@ -1,19 +1,27 @@
 """Label search: dominance, extension, selection, and exact solving."""
 
-import math
+import dataclasses
 import warnings
 
 import pytest
 
 from hybridpath.generators import GenSpec, generate
 from hybridpath.heuristics import make_table
-from hybridpath.instance import EdgeParams, Instance, check_solution
+from hybridpath.instance import EdgeParams, Instance, check_solution, load
 from hybridpath.labeling import (Label, OpenList, SolverConfig, extend,
-                                 extract_path, select_label, select_node,
-                                 solve)
-from conftest import (FUEL_TRAP_COST, FUEL_TRAP_PATH, REVISIT_TRAP_COST,
-                      SLD_TRAP_COST, TRIANGLE_COST, FIVE_NODE_COST,
-                      FIVE_NODE_PATH, make_fuel_trap, make_sld_trap)
+                                 extract_path, solve)
+from conftest import (FIXTURES, FUEL_TRAP_COST, FUEL_TRAP_PATH,
+                      REVISIT_TRAP_COST, SLD_TRAP_COST, TRIANGLE_COST,
+                      FIVE_NODE_COST, FIVE_NODE_PATH, make_fuel_trap,
+                      make_revisit_trap, make_sld_trap)
+
+def make_dead_end():
+    """Two nodes; the only edge drains 9 from a battery of 5."""
+    return Instance(nodes=((0.0, 0.0), (1.0, 0.0)),
+                    edges=(EdgeParams(0, 1, 1.0, 9, 0),),
+                    start=0, goal=1, b0=5, bmin=0, bmax=5, q0=3, v=0,
+                    quantization=1.0)
+
 
 ALL_CONFIGS = [SolverConfig(selection=sel, heuristic=heur)
                for sel in ("label", "node")
@@ -262,35 +270,61 @@ class TestOpenList:
         assert offer(ol, d=4.0, b=12, q=8)
         assert len(ol) == 2
 
+    def test_counts_accepted_labels(self):
+        ol = OpenList(2)
+        offer(ol, d=5.0, b=5, q=5)
+        offer(ol, d=6.0, b=4, q=4)  # pruned
+        offer(ol, d=4.0, b=6, q=6)  # accepted, evicts the first
+        offer(ol, node=1, d=1.0)
+        assert ol.created == 3
+        assert ol.created_per_node == [2, 1]
+        assert ol.pruned == 2
+
 
 class TestSelection:
+    """The solve loop selects with ``pop_min`` under label selection and
+    with ``take_node`` of the minimum label's node under node
+    selection."""
+
     def test_select_label_singleton(self):
         ol = OpenList(2)
         offer(ol, d=7.0)
         offer(ol, node=1, d=5.0)
-        labels, node = select_label(ol)
-        assert node == 1 and len(labels) == 1 and labels[0].d == 5.0
+        label = ol.pop_min()
+        assert label.node == 1 and label.d == 5.0
+        assert len(ol) == 1
 
     def test_select_node_returns_all_open_at_min_node(self):
         ol = OpenList(2)
         offer(ol, d=5.0, b=5, q=0)
         offer(ol, d=8.0, b=9, q=0)
         offer(ol, node=1, d=6.0)
-        labels, node = select_node(ol)
-        assert node == 0
-        assert [l.d for l in labels] == [5.0, 8.0]
+        labels = ol.take_node(ol.peek_min().node)
+        assert [(l.node, l.d) for l in labels] == [(0, 5.0), (0, 8.0)]
         assert len(ol) == 1
+        assert ol.peek_min().node == 1
+
+    def test_take_node_returns_heap_order(self):
+        # the node's list keeps equal-d labels newest first; the batch
+        # follows the heap's tie-breaks: larger battery, then insertion
+        ol = OpenList(1)
+        offer(ol, d=5.0, b=3, q=9, mask=0b01)
+        offer(ol, d=5.0, b=4, q=1)
+        offer(ol, d=5.0, b=3, q=9, mask=0b10)
+        offer(ol, d=4.0, b=1, q=1)
+        labels = ol.take_node(0)
+        assert [(l.d, l.b, l.mask) for l in labels] == [
+            (4.0, 1, 0), (5.0, 4, 0), (5.0, 3, 0b01), (5.0, 3, 0b10)]
 
     def test_select_node_singleton_matches_select_label(self):
-        for selector in (select_label, select_node):
+        taken = []
+        for take in (lambda ol: [ol.pop_min()],
+                     lambda ol: ol.take_node(ol.peek_min().node)):
             ol = OpenList(2)
             offer(ol, node=1, d=3.0)
-            labels, node = selector(ol)
-            assert node == 1 and len(labels) == 1
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            select_label(OpenList(1))
+            taken.append([(l.node, l.d) for l in take(ol)])
+            assert len(ol) == 0 and ol.peek_min() is None
+        assert taken == [[(1, 3.0)], [(1, 3.0)]]
 
 
 class TestSolve:
@@ -341,11 +375,7 @@ class TestSolve:
         assert res.solution.cost == TRIANGLE_COST
 
     def test_infeasible(self):
-        inst = Instance(nodes=((0.0, 0.0), (1.0, 0.0)),
-                        edges=(EdgeParams(0, 1, 1.0, 9, 0),),
-                        start=0, goal=1, b0=5, bmin=0, bmax=5, q0=3, v=0,
-                        quantization=1.0)
-        res = solve(inst)
+        res = solve(make_dead_end())
         assert res.status == "infeasible"
         assert res.solution is None
 
@@ -482,6 +512,106 @@ def test_label_selection_matches_node_selection():
                 assert check_solution(inst, res.solution) is None
             checked += 1
     assert checked == 10
+
+
+def make_stranded_batch():
+    """S, A, B, C, G = 0..4; no fuel, so only the battery (10) binds.
+    Node A is reached twice: straight from S (d=1, battery 2) and via B
+    (d=2, battery 8).  Only the second can pay A->G (drain 5), so the
+    optimum is S-B-A-G at cost 3.0; B->G is short but drains 100, and the
+    first A label can only go on to C at cost 50.  Node selection treats
+    both A labels in one batch."""
+    edges = ((0, 1, 1.0, 8), (0, 2, 1.0, 1), (2, 4, 0.5, 100),
+             (2, 1, 1.0, 1), (1, 4, 1.0, 5), (1, 3, 50.0, 1), (3, 4, 1.0, 0))
+    return Instance(
+        nodes=((0.0, 0.0), (0.1, 0.1), (0.1, -0.1), (0.2, 0.2), (0.2, 0.0)),
+        edges=tuple(EdgeParams(u, v, d, c, 0, False)
+                    for u, v, d, c in edges),
+        start=0, goal=4, b0=10, bmin=0, bmax=10, q0=0, v=0,
+        quantization=1.0)
+
+
+def test_limit_never_strands_a_batch():
+    """Limits are checked between selections, so a label budget that runs
+    out while the A batch is treated still lets the batch finish; the
+    untreated A label then cannot drop out of the reported bound."""
+    inst = make_stranded_batch()
+    for config in ALL_CONFIGS:
+        res = solve(inst, config)
+        assert res.solution.cost == 3.0
+        assert res.solution.path == (0, 2, 1, 4)
+        for max_labels in range(1, 7):
+            res = solve(inst, dataclasses.replace(config,
+                                                  max_labels=max_labels))
+            assert res.status in ("limit", "optimal")
+            if res.status == "limit":
+                assert res.lower_bound <= 3.0, (config, max_labels)
+
+
+PINNED_INSTANCES = {
+    "five_node": lambda: load(FIXTURES / "five_node.json"),
+    "revisit_trap": make_revisit_trap,
+    "fuel_trap": make_fuel_trap,
+    "euclid300": lambda: generate(GenSpec(n_nodes=300, seed=0)),
+    "lattice216": lambda: generate(GenSpec(n_nodes=216, family="lattice",
+                                           dim=3, seed=1)),
+    "dead_end": make_dead_end,
+}
+
+# (labels_created, labels_treated, labels_pruned, peak_open, rounds,
+#  max(created_per_node)) per instance and (selection, heuristic)
+PINNED_COUNTERS = {
+    "five_node": {
+        ("label", "sup"): (17, 11, 3, 8, 1, 7),
+        ("label", "zero"): (19, 13, 10, 11, 1, 7),
+        ("node", "sup"): (19, 13, 10, 8, 1, 7),
+        ("node", "zero"): (19, 13, 10, 9, 1, 7),
+    },
+    "revisit_trap": {
+        ("label", "sup"): (18, 10, 7, 3, 2, 8),
+        ("label", "zero"): (19, 12, 11, 3, 2, 8),
+        ("node", "sup"): (19, 12, 11, 3, 2, 8),
+        ("node", "zero"): (19, 12, 11, 3, 2, 8),
+    },
+    "fuel_trap": {
+        ("label", "sup"): (9, 8, 0, 3, 1, 3),
+        ("label", "zero"): (9, 8, 0, 3, 1, 3),
+        ("node", "sup"): (9, 8, 0, 3, 1, 3),
+        ("node", "zero"): (9, 8, 0, 3, 1, 3),
+    },
+    "euclid300": {
+        ("label", "sup"): (491, 105, 363, 377, 1, 40),
+        ("label", "zero"): (93551, 74117, 511940, 6779, 1, 1794),
+        ("node", "sup"): (1075, 283, 889, 667, 1, 70),
+        ("node", "zero"): (112631, 83839, 592409, 7691, 1, 2654),
+    },
+    "lattice216": {
+        ("label", "sup"): (1612, 351, 4775, 574, 1, 20),
+        ("label", "zero"): (3526, 2422, 27609, 627, 1, 59),
+        ("node", "sup"): (2882, 1022, 11982, 1114, 1, 36),
+        ("node", "zero"): (3754, 2485, 28157, 602, 1, 59),
+    },
+    # the start label has no feasible move: peak_open still counts it
+    "dead_end": {
+        ("label", "sup"): (1, 1, 0, 1, 1, 1),
+        ("label", "zero"): (1, 1, 0, 1, 1, 1),
+        ("node", "sup"): (1, 1, 0, 1, 1, 1),
+        ("node", "zero"): (1, 1, 0, 1, 1, 1),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COUNTERS))
+def test_search_counters_pinned(name):
+    """Deterministic work counters of unlimited solves, frozen so that a
+    rewrite of the search loop shows any change in the work it does."""
+    inst = PINNED_INSTANCES[name]()
+    for (selection, heuristic), want in PINNED_COUNTERS[name].items():
+        s = solve(inst, SolverConfig(selection=selection,
+                                     heuristic=heuristic)).stats
+        got = (s.labels_created, s.labels_treated, s.labels_pruned,
+               s.peak_open, s.rounds, max(s.created_per_node))
+        assert got == want, (selection, heuristic)
 
 
 class TestExtractPath:
