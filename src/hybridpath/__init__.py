@@ -19,7 +19,7 @@ from .instance import (DEFAULT_QUANTIZATION, EdgeParams, FormatError,
 from .heuristics import HeuristicTable, make_table, sld_table, sup_path, \
     sup_table, zero_table
 from .labeling import (Label, OpenList, SolveResult, SolveStats,
-                       SolverConfig, extend, solve)
+                       SolverConfig, solve)
 from .verify import (MilpImportError, MilpModel, OracleBudgetError,
                      OracleResult, build_milp, check_substitution,
                      import_milp_solution, oracle_solve)
@@ -33,7 +33,7 @@ __all__ = [
     "MilpImportError", "MilpModel", "OpenList", "OracleBudgetError",
     "OracleResult", "Solution", "SolveResult", "SolveStats", "SolverConfig",
     "build_milp", "build_solution", "check_solution", "check_substitution",
-    "dumps", "extend", "generate", "import_milp_solution", "load", "loads",
+    "dumps", "generate", "import_milp_solution", "load", "loads",
     "make_table", "oracle_solve", "path_cost", "replay", "save",
     "sld_table", "solution_dumps", "solution_loads", "solve", "sup_path",
     "sup_table", "validate", "zero_table",

@@ -225,11 +225,12 @@ def _bench_one(path_str: str, selections: List[str], heuristics: List[str],
     base["id"] = path.stem
     try:
         instance = load(path)
-        base.update(_instance_stats(instance))
-        lb = sup_path(instance).cost
     except (FormatError, InvalidInstanceError, OSError) as exc:
         base.update(status="error", note=str(exc))
         return [dict(base)]
+    base.update(_instance_stats(instance))
+    try:
+        lb = sup_path(instance).cost
     except ValueError:
         lb = None
     base["sup_lower_bound"] = "" if lb is None else repr(lb)

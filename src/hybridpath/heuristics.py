@@ -51,7 +51,7 @@ def sld_table(instance: Instance) -> HeuristicTable:
     h = tuple(math.dist(coord, goal) for coord in instance.nodes)
     # SLD is admissible when no edge is cheaper than its chord.
     ok = all(
-        e.d >= math.dist(instance.nodes[e.u], instance.nodes[e.v]) - 1e-9 * max(1.0, e.d)
+        e.d >= math.dist(instance.nodes[e.u], instance.nodes[e.v])
         for e in instance.edges
     )
     return HeuristicTable(kind=KIND_SLD, h=h, admissible=ok)

@@ -326,6 +326,23 @@ def _list(doc: dict, key: str) -> list:
     return value
 
 
+def _parse(data) -> dict:
+    """Decode a JSON document (bytes or str) whose root must be an object."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        doc = json.loads(data)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"invalid JSON: not UTF-8 text ({exc})") from exc
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError("document root must be an object")
+    return doc
+
+
 def loads(data) -> Instance:
     """Parse an instance document (bytes or str).
 
@@ -334,14 +351,7 @@ def loads(data) -> Instance:
     Real-valued resource inputs are rounded to integer units; a warning
     reports the largest rounding error when it is non-negligible.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError("document root must be an object")
+    doc = _parse(data)
 
     quantization = float(_number(doc.get("quantization", DEFAULT_QUANTIZATION),
                                  "quantization"))
@@ -492,14 +502,7 @@ def solution_dumps(instance: Instance, solution: Solution) -> str:
 
 
 def solution_loads(data, instance: Instance) -> Solution:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError("document root must be an object")
+    doc = _parse(data)
     q = instance.quantization
     return Solution(
         path=tuple(_integer(n, "path") for n in _list(doc, "path")),

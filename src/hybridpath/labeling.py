@@ -46,11 +46,10 @@ optimum, so the first simple optimum returned is exact; on typical
 instances the first round is already simple and the refinement costs
 nothing.
 
-``extend`` is the readable reference form of the extension rule, treating
-``label.mask`` as a full visited-set bitmask.  The solve loop applies the
-identical resource arithmetic inline (allocating a label object only once
-a candidate survives dominance), which is what keeps 20k-node instances
-tractable in pure Python; a unit test holds the two forms together.
+The search loop applies the extension rule inline and allocates a Label
+only once a candidate survives dominance, which is what keeps 20k-node
+instances tractable in pure Python; unit tests hold it to
+``instance.replay``.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from .heuristics import HeuristicTable, make_table
-from .instance import EdgeParams, Instance, Solution, path_cost
+from .instance import Instance, Solution, path_cost
 
 SELECT_LABEL = "label"
 SELECT_NODE = "node"
@@ -78,9 +77,8 @@ STATUS_LIMIT = "limit"
 class Label:
     """State of a partial path ending at ``node``.
 
-    ``mask`` is a visited-set bitmask: the full path set for hand-built
-    chains fed through ``extend``, or the critical-node subset inside
-    ``solve``.  ``s`` is the generator bit of the incoming edge (off at
+    ``mask`` is the set of critical nodes visited, as a bitmask over
+    their bits.  ``s`` is the generator bit of the incoming edge (off at
     the start node), ``parent`` the predecessor label (None there).
     """
 
@@ -102,43 +100,6 @@ class Label:
     def __repr__(self):  # debugging aid
         return (f"Label(node={self.node}, d={self.d:.6g}, b={self.b}, "
                 f"q={self.q}, s={int(self.s)})")
-
-
-def extend(label: Label, edge: EdgeParams, gen_on: bool, instance: Instance,
-           h=None) -> Optional[Label]:
-    """Extend a label over ``edge``; returns None when infeasible.
-
-    Feasibility: the generator may only run where allowed; the battery,
-    debited by the edge drain plus any startup cost, must stay at bmin or
-    above before the recharge is credited (then clamps at bmax); fuel
-    must not go negative; the target node must not be in the label's
-    visited mask.
-    """
-    if gen_on and not edge.gen_allowed:
-        return None
-    bit = 1 << edge.v
-    if label.mask & bit:
-        return None
-    if gen_on:
-        startup = instance.v if not label.s else 0
-        mid = label.b - edge.c - startup
-        if mid < instance.bmin:
-            return None
-        q = label.q - edge.z
-        if q < 0:
-            return None
-        b = mid + edge.z
-        if b > instance.bmax:
-            b = instance.bmax
-    else:
-        mid = label.b - edge.c
-        if mid < instance.bmin:
-            return None
-        b = mid
-        q = label.q
-    d = label.d + edge.d
-    f = d + h[edge.v] if h is not None else d
-    return Label(edge.v, d, b, q, gen_on, f, label, label.mask | bit)
 
 
 _by_d = attrgetter("d")
@@ -186,9 +147,6 @@ class OpenList:
         self.created_per_node = [0] * n_nodes
         self.n_open = 0
         self.pruned = 0
-
-    def __len__(self) -> int:
-        return self.n_open
 
     def insert_candidate(self, node, d, b, q, s, f, parent,
                          mask) -> Optional[Label]:

@@ -189,9 +189,14 @@ class TestGenerate:
         assert "wings" in capsys.readouterr().err
 
 
+# instance files that are not JSON, not UTF-8 text, and nested past the
+# parser's recursion limit
+BAD_FILES = (b"{ not json", b"\xff\xfe{}", b"[" * 100_000)
+
+
 def make_suite(tmp_path):
     suite = tmp_path / "suite"
-    suite.mkdir()
+    suite.mkdir(parents=True)
     shutil.copy(FIVE, suite / "alpha.json")
     shutil.copy(FIVE, suite / "beta.json")
     return suite
@@ -232,15 +237,17 @@ class TestBench:
         assert stable[0] == stable[1] == stable[2]
 
     def test_corrupt_file_flagged_run_continues(self, tmp_path, capsys):
-        suite = make_suite(tmp_path)
-        (suite / "broken.json").write_text("{ not json")
-        out = tmp_path / "bench.csv"
-        assert main(["bench", str(suite), "--out", str(out)]) == 1
-        rows = read_csv(out)
-        flagged = [r for r in rows if r["status"] == "error"]
-        assert len(flagged) == 1
-        assert flagged[0]["id"] == "broken" and flagged[0]["note"]
-        assert sum(1 for r in rows if r["status"] == "optimal") == 2
+        for i, content in enumerate(BAD_FILES):
+            suite = make_suite(tmp_path / str(i))
+            (suite / "broken.json").write_bytes(content)
+            out = tmp_path / str(i) / "bench.csv"
+            assert main(["bench", str(suite), "--out", str(out)]) == 1
+            rows = read_csv(out)
+            flagged = [r for r in rows if r["status"] == "error"]
+            assert len(flagged) == 1, content[:10]
+            assert flagged[0]["id"] == "broken"
+            assert flagged[0]["note"].startswith("invalid JSON")
+            assert sum(1 for r in rows if r["status"] == "optimal") == 2
 
     def test_inadmissible_sld_rows_flagged(self, tmp_path, capsys):
         suite = tmp_path / "suite"
@@ -323,17 +330,18 @@ class TestVerify:
         assert "3/3 matched, 0 skipped" in out
 
     def test_unreadable_file_reported_run_continues(self, tmp_path, capsys):
-        suite = tmp_path / "suite"
-        suite.mkdir()
-        shutil.copy(FIVE, suite / "a.json")
-        (suite / "b.json").write_text("{ not json")
-        shutil.copy(FIVE, suite / "c.json")
-        assert main(["verify", str(suite)]) == 1
-        out = capsys.readouterr().out.splitlines()
-        assert out[0].startswith(f"a: ok ({FIVE_NODE_COST!r})")
-        assert out[1].startswith("b: error (invalid JSON")
-        assert out[2].startswith(f"c: ok ({FIVE_NODE_COST!r})")
-        assert out[3] == "2/2 matched, 0 skipped, 1 unreadable"
+        for i, content in enumerate(BAD_FILES):
+            suite = tmp_path / str(i)
+            suite.mkdir()
+            shutil.copy(FIVE, suite / "a.json")
+            (suite / "b.json").write_bytes(content)
+            shutil.copy(FIVE, suite / "c.json")
+            assert main(["verify", str(suite)]) == 1
+            out = capsys.readouterr().out.splitlines()
+            assert out[0].startswith(f"a: ok ({FIVE_NODE_COST!r})")
+            assert out[1].startswith("b: error (invalid JSON"), content[:10]
+            assert out[2].startswith(f"c: ok ({FIVE_NODE_COST!r})")
+            assert out[3] == "2/2 matched, 0 skipped, 1 unreadable"
 
     @staticmethod
     def deep_suite(tmp_path):

@@ -9,9 +9,12 @@ the battery cap, noise-restricted edges and, through small integer
 coordinates, many equal-cost alternatives.  The revisit trap is pinned as
 an explicit example so a critical-node round with masked labels is always
 exercised, and the fuel trap so that a dominance check ignoring fuel
-fails under both selection methods.
+fails under both selection methods.  A second property stops every config
+at a random label limit: a ``limit`` bound must not exceed the optimum,
+and any other result must match the oracle.
 """
 
+import dataclasses
 import math
 
 from hypothesis import HealthCheck, example, given, settings
@@ -78,3 +81,21 @@ def test_all_configs_match_oracle(inst):
         assert check_solution(inst, res.solution) is None, config
         assignment = assignment_from_solution(inst, res.solution)
         assert check_substitution(model, assignment) == [], config
+
+
+@settings(max_examples=500, derandomize=True, database=None,
+          deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(instances(), st.integers(1, 40))
+def test_limit_bound_never_exceeds_oracle(inst, max_labels):
+    # a limit result's bound is a sum of floats taken in another order
+    # than the optimum's exactly rounded cost, hence the tolerance
+    oracle = oracle_solve(inst)
+    for config in CONFIGS:
+        res = solve(inst, dataclasses.replace(config, max_labels=max_labels))
+        if res.status == "limit":
+            if oracle.solution is not None:
+                assert res.lower_bound <= oracle.cost + 1e-9, config
+            continue
+        assert res.status == oracle.status, config
+        if oracle.solution is not None:
+            assert res.solution.cost == oracle.cost, config

@@ -9,6 +9,7 @@ from hybridpath.generators import GenSpec, generate
 from hybridpath.heuristics import (make_table, sld_table, sup_path,
                                    sup_table, zero_table)
 from hybridpath.instance import EdgeParams, Instance
+from hybridpath.labeling import SolverConfig, solve
 
 
 def line_graph():
@@ -52,6 +53,27 @@ class TestSld:
                         start=0, goal=1, b0=1, bmin=0, bmax=1, q0=0, v=0,
                         quantization=1.0)
         assert not sld_table(inst).admissible
+
+    def test_edge_a_hair_under_its_chord_is_inadmissible(self):
+        # u->V is 4e-10 under its chord of 1, so h(u) = 2 exceeds the
+        # cost 2 - 4e-10 of u's only route; trusting sld returns the
+        # dearer route (0, 2, 3) as optimal
+        inst = Instance(nodes=((0.0, -1.0), (0.0, 0.0), (1.0, 0.0),
+                               (2.0, 0.0)),
+                        edges=(EdgeParams(0, 1, 1.0, 1, 0),
+                               EdgeParams(1, 2, 1.0 - 4e-10, 1, 0),
+                               EdgeParams(0, 2, 2.0 - 2e-10, 0, 0),
+                               EdgeParams(2, 3, 1.0, 1, 0)),
+                        start=0, goal=3, b0=10, bmin=0, bmax=10, q0=0, v=0,
+                        quantization=1.0)
+        assert not sld_table(inst).admissible
+        for selection in ("label", "node"):
+            with pytest.raises(ValueError, match="inadmissible"):
+                solve(inst, SolverConfig(selection=selection,
+                                         heuristic="sld"))
+        res = solve(inst)
+        assert res.solution.path == (0, 1, 2, 3)
+        assert res.solution.cost == pytest.approx(3.0 - 4e-10, abs=1e-12)
 
 
 class TestSup:

@@ -1,15 +1,17 @@
 """Label search: dominance, extension, selection, and exact solving."""
 
 import dataclasses
+import itertools
 import warnings
 
 import pytest
 
 from hybridpath.generators import GenSpec, generate
 from hybridpath.heuristics import make_table
-from hybridpath.instance import EdgeParams, Instance, check_solution, load
-from hybridpath.labeling import (Label, OpenList, SolverConfig, extend,
-                                 extract_path, solve)
+from hybridpath.instance import (EdgeParams, Instance, check_solution, load,
+                                 replay, validate)
+from hybridpath.labeling import (Label, OpenList, SolverConfig, extract_path,
+                                 solve)
 from conftest import (FIXTURES, FUEL_TRAP_COST, FUEL_TRAP_PATH,
                       REVISIT_TRAP_COST, SLD_TRAP_COST, TRIANGLE_COST,
                       FIVE_NODE_COST, FIVE_NODE_PATH, make_fuel_trap,
@@ -43,7 +45,7 @@ def dominates(a, b):
     it during a solve."""
     ol = OpenList(1)
     assert offer(ol, **b)
-    return offer(ol, **a) and len(ol) == 1
+    return offer(ol, **a) and ol.n_open == 1
 
 
 class TestDominates:
@@ -78,90 +80,123 @@ class TestDominates:
                          dict(d=6, b=9, q=9, mask=0b11))
 
 
-def extend_instance(**kw):
-    params = dict(nodes=((0.0, 0.0), (0.1, 0.0)),
-                  edges=(EdgeParams(0, 1, 4.0, 3, 5),),
-                  start=0, goal=1, b0=8, bmin=0, bmax=20, q0=12, v=2,
-                  quantization=1.0)
+def chain_instance(edges, **kw):
+    """A start-to-goal chain with one unit-cost edge per (c, z, allowed,
+    gliding) tuple in ``edges``."""
+    params = dict(nodes=tuple((0.1 * i, 0.0) for i in range(len(edges) + 1)),
+                  edges=tuple(EdgeParams(i, i + 1, 1.0, *e)
+                              for i, e in enumerate(edges)),
+                  start=0, goal=len(edges), b0=8, bmin=0, bmax=20, q0=12,
+                  v=2, quantization=1.0)
     params.update(kw)
     return Instance(**params)
 
 
+SINGLE_EDGE_GRID = [
+    dict(edges=((c, z, not noisy, glide),), v=v, b0=b0, bmax=bmax, q0=q0)
+    for v, (c, glide), z, b0, bmax, q0, noisy in itertools.product(
+        (0, 2), ((0, False), (0, True), (3, False)), (0, 2, 5), (2, 9),
+        (9, 10), (0, 4), (False, True))]
+
+TWO_EDGE_GRID = [
+    dict(edges=((1, 2, True, False),) * 2, v=v, b0=b0, bmax=bmax, q0=q0)
+    for v, b0, q0, bmax in itertools.product(
+        (0, 2, 3), (3, 6, 9), (4, 10), (6, 9)) if b0 <= bmax]
+
+
 class TestExtend:
+    """The search loop's inline extension rule, against hand-computed
+    states and against ``replay``: on each chain every schedule costs the
+    same, so the solver's tie-breaks (larger battery, then larger fuel)
+    must return the feasible schedule with the largest goal (battery,
+    fuel)."""
+
+    @staticmethod
+    def check(inst, selection):
+        """Solve ``inst`` and hold the answer to ``replay``; returns the
+        solution, None when infeasible."""
+        assert validate(inst) == []
+        path = tuple(range(inst.n_nodes))
+        finals = []
+        for gen in itertools.product((False, True), repeat=len(inst.edges)):
+            battery, fuel, violation = replay(inst, path, gen)
+            if violation is None:
+                finals.append((battery[-1], fuel[-1]))
+        res = solve(inst, SolverConfig(selection=selection, heuristic="zero"))
+        if not finals:
+            assert res.status == "infeasible"
+            return None
+        assert res.status == "optimal"
+        sol = res.solution
+        battery, fuel, violation = replay(inst, sol.path, sol.gen)
+        assert violation is None
+        assert (sol.battery, sol.fuel) == (tuple(battery), tuple(fuel))
+        assert (sol.battery[-1], sol.fuel[-1]) == max(finals)
+        return sol
+
+    def answer(self, edges, **kw):
+        """(gen, battery, fuel) of the solver's answer on a chain, the
+        same under label and node selection; None when infeasible."""
+        inst = chain_instance(edges, **kw)
+        answers = {sol and (sol.gen, sol.battery, sol.fuel)
+                   for sol in (self.check(inst, "label"),
+                               self.check(inst, "node"))}
+        assert len(answers) == 1
+        return answers.pop()
+
     def test_gen_on_pays_startup_and_recharges(self):
-        inst = extend_instance()
-        lab = extend(mklabel(d=10, b=8, q=12, mask=1), inst.edges[0], True, inst)
-        assert (lab.d, lab.b, lab.q, lab.s) == (14, 8, 7, True)
+        # 8 - 3 - 2 (startup) + 5 = 8 beats gen-off's 8 - 3 = 5
+        assert self.answer(((3, 5, True, False),)) == (
+            (True,), (8, 8), (12, 7))
 
     def test_gen_off(self):
-        inst = extend_instance()
-        lab = extend(mklabel(d=10, b=8, q=12, mask=1), inst.edges[0], False, inst)
-        assert (lab.d, lab.b, lab.q, lab.s) == (14, 5, 12, False)
+        # gen-on would end at 8 - 3 - 2 = 3
+        assert self.answer(((3, 0, True, False),)) == (
+            (False,), (8, 5), (12, 12))
 
     def test_no_startup_when_already_on(self):
-        inst = extend_instance()
-        lab = extend(mklabel(d=10, b=8, q=12, s=True, mask=1),
-                     inst.edges[0], True, inst)
-        assert (lab.b, lab.q) == (10, 7)
+        # on-on: 5 - 1 - 2 + 3 = 5, then 5 - 1 + 3 = 7 with no second
+        # startup; every other schedule ends with less battery
+        assert self.answer(((1, 3, True, False),) * 2, b0=5, q0=10) == (
+            (True, True), (5, 5, 7), (10, 7, 4))
 
     def test_gliding_recharge_clamps(self):
-        glide = EdgeParams(0, 1, 1.0, 0, 2, True, True)
-        inst = extend_instance(edges=(glide,), q0=3)
-        lab = extend(mklabel(b=5, q=3, s=True, mask=1), glide, True, inst)
-        assert (lab.b, lab.q) == (7, 1)
-        lab = extend(mklabel(b=5, q=3, s=True, mask=1), glide, True,
-                     extend_instance(edges=(glide,), q0=3, b0=6, bmax=6))
-        assert lab.b == 6
+        glide = ((0, 2, True, True),)
+        assert self.answer(glide, b0=5, q0=3, v=0) == (
+            (True,), (5, 7), (3, 1))
+        assert self.answer(glide, b0=5, q0=3, v=0, bmax=6) == (
+            (True,), (5, 6), (3, 1))
 
     def test_noise_restriction(self):
-        noisy = EdgeParams(0, 1, 4.0, 3, 5, gen_allowed=False)
-        inst = extend_instance(edges=(noisy,))
-        assert extend(mklabel(b=8, q=12, mask=1), noisy, True, inst) is None
-        assert extend(mklabel(b=8, q=12, mask=1), noisy, False, inst) is not None
+        assert self.answer(((3, 5, False, False),)) == (
+            (False,), (8, 5), (12, 12))
 
     def test_pre_recharge_dip_infeasible(self):
-        # drain + startup exhaust the battery before the recharge lands
-        inst = extend_instance()
-        assert extend(mklabel(b=4, q=12, mask=1), inst.edges[0], True, inst) is None
+        # drain + startup exhaust the battery before the recharge lands:
+        # 4 - 3 - 2 < 0 although the recharge would bring it back to 4
+        assert self.answer(((3, 5, True, False),), b0=4) == (
+            (False,), (4, 1), (12, 12))
+        # gen-off runs dry, gen-on dips to -3 before reaching 6
+        assert self.answer(((5, 9, True, False),), b0=4) is None
 
     def test_fuel_floor(self):
-        inst = extend_instance()
-        assert extend(mklabel(b=8, q=4, mask=1), inst.edges[0], True, inst) is None
-
-    def test_revisit_infeasible(self):
-        inst = extend_instance()
-        assert extend(mklabel(b=8, q=12, mask=0b11), inst.edges[0], True,
-                      inst) is None
-
-    def test_f_uses_heuristic(self):
-        inst = extend_instance()
-        lab = extend(mklabel(d=10, b=8, q=12, mask=1), inst.edges[0], False,
-                     inst, h=[0.0, 7.0])
-        assert lab.f == 21.0
+        assert self.answer(((3, 5, True, False),), q0=4) == (
+            (False,), (8, 5), (4, 4))
+        assert self.answer(((3, 5, True, False),), q0=5) == (
+            (True,), (8, 8), (5, 0))
 
     def test_matches_solver_arithmetic(self):
-        # the solve loop applies the same update rule inline, without
-        # building Label objects for rejected candidates; pin the two
-        # forms together on single-edge instances
-        import itertools
-        for v, c, z, b0 in itertools.product((0, 2), (0, 3), (0, 2, 5),
-                                             (2, 9)):
-            edge = EdgeParams(0, 1, 1.0, c, z)
-            inst = extend_instance(edges=(edge,), v=v, b0=b0, bmax=9, q0=4)
-            start = mklabel(b=b0, q=4, mask=1)
-            want = {}
-            for gen_on in (False, True):
-                lab = extend(start, edge, gen_on, inst)
-                if lab is not None:
-                    want[gen_on] = (lab.b, lab.q)
-            res = solve(inst, SolverConfig(heuristic="zero"))
-            if not want:
-                assert res.status == "infeasible"
-                continue
-            assert res.status == "optimal"
-            sol = res.solution
-            assert sol.gen[0] in want
-            assert (sol.battery[1], sol.fuel[1]) == want[sol.gen[0]]
+        # bmax=10 with b0=9: a recharge of 2 from b=9 lands one unit over
+        # the cap and must clamp to it
+        for kw in SINGLE_EDGE_GRID:
+            inst = chain_instance(**kw)
+            self.check(inst, "label")
+            self.check(inst, "node")
+
+    @pytest.mark.parametrize("selection", ["label", "node"])
+    def test_two_edge_grid(self, selection):
+        for kw in TWO_EDGE_GRID:
+            self.check(chain_instance(**kw), selection)
 
 
 class TestOpenList:
@@ -170,9 +205,9 @@ class TestOpenList:
         offer(ol, d=7.0, b=1, q=1)
         offer(ol, d=5.0, b=9, q=1)
         offer(ol, node=1, d=9.0, b=1, q=1)
-        n = len(ol)
+        n = ol.n_open
         assert ol.pop_min().d == 5.0
-        assert len(ol) == n - 1
+        assert ol.n_open == n - 1
 
     def test_tie_breaks_prefer_battery_then_fuel_then_fifo(self):
         ol = OpenList(1)
@@ -183,7 +218,7 @@ class TestOpenList:
         ol = OpenList(1)
         offer(ol, d=5.0, b=3, q=1, mask=0b01)
         offer(ol, d=5.0, b=3, q=2, mask=0b11)
-        assert len(ol) == 2
+        assert ol.n_open == 2
         assert ol.pop_min().q == 2
         # full tie across nodes falls back to insertion order
         ol = OpenList(2)
@@ -202,13 +237,13 @@ class TestOpenList:
         ol = OpenList(1)
         assert offer(ol, d=5.0, b=10, q=10)
         assert not offer(ol, d=5.0, b=10, q=10)
-        assert len(ol) == 1
+        assert ol.n_open == 1
 
     def test_dominating_candidate_evicts_open(self):
         ol = OpenList(1)
         offer(ol, d=6.0, b=9, q=9)
         assert offer(ol, d=5.0, b=10, q=10)
-        assert len(ol) == 1
+        assert ol.n_open == 1
         assert ol.pop_min().d == 5.0
         assert ol.pop_min() is None
 
@@ -268,7 +303,7 @@ class TestOpenList:
         ol = OpenList(1)
         assert offer(ol, d=5.0, b=10, q=10)
         assert offer(ol, d=4.0, b=12, q=8)
-        assert len(ol) == 2
+        assert ol.n_open == 2
 
     def test_counts_accepted_labels(self):
         ol = OpenList(2)
@@ -292,7 +327,7 @@ class TestSelection:
         offer(ol, node=1, d=5.0)
         label = ol.pop_min()
         assert label.node == 1 and label.d == 5.0
-        assert len(ol) == 1
+        assert ol.n_open == 1
 
     def test_select_node_returns_all_open_at_min_node(self):
         ol = OpenList(2)
@@ -301,7 +336,7 @@ class TestSelection:
         offer(ol, node=1, d=6.0)
         labels = ol.take_node(ol.peek_min().node)
         assert [(l.node, l.d) for l in labels] == [(0, 5.0), (0, 8.0)]
-        assert len(ol) == 1
+        assert ol.n_open == 1
         assert ol.peek_min().node == 1
 
     def test_take_node_returns_heap_order(self):
@@ -323,7 +358,7 @@ class TestSelection:
             ol = OpenList(2)
             offer(ol, node=1, d=3.0)
             taken.append([(l.node, l.d) for l in take(ol)])
-            assert len(ol) == 0 and ol.peek_min() is None
+            assert ol.n_open == 0 and ol.peek_min() is None
         assert taken == [[(1, 3.0)], [(1, 3.0)]]
 
 
@@ -616,15 +651,15 @@ def test_search_counters_pinned(name):
 
 class TestExtractPath:
     def test_start_label_alone(self, triangle):
-        start = mklabel(node=0, b=8, q=0, mask=1)
+        start = mklabel(node=0, b=8, q=0)
         sol = extract_path(start, triangle)
         assert sol.path == (0,)
         assert sol.gen == ()
         assert sol.cost == 0.0
 
     def test_one_extension(self, triangle):
-        start = mklabel(node=0, b=8, q=0, mask=1)
-        nxt = extend(start, triangle.edges[1], False, triangle)
+        start = mklabel(node=0, b=8, q=0)
+        nxt = Label(1, 6.0, 5, 0, False, 6.0, start, 0)
         sol = extract_path(nxt, triangle)
         assert sol.path == (0, 1)
         assert sol.gen == (False,)
