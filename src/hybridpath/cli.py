@@ -34,12 +34,20 @@ _STATUS_EXIT = {
     labeling.STATUS_LIMIT: EXIT_LIMIT,
 }
 
+# the columns of one solve, shared by the bench CSV and the solve report
+REPORT_FIELDS = [
+    "status", "cost", "sup_lower_bound", "wall_time", "table_time",
+    "labels_created", "labels_treated", "labels_pruned", "peak_open",
+    "rounds",
+]
 CSV_FIELDS = [
     "id", "family", "dim", "n_nodes", "n_edges", "noise_fraction",
-    "selection", "heuristic", "status", "cost", "sup_lower_bound",
-    "wall_time", "table_time", "labels_created", "labels_treated",
-    "labels_pruned", "peak_open", "rounds", "note",
+    "selection", "heuristic", *REPORT_FIELDS, "note",
 ]
+
+# what makes an instance file unreadable: bench and verify flag the file
+# and go on with the next
+_LOAD_ERRORS = (FormatError, InvalidInstanceError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,14 +65,19 @@ def _out_dir(explicit: Optional[str]) -> Path:
     return Path(os.environ.get("HYBRIDPATH_OUT_DIR", "."))
 
 
-def _split_choices(value: str, allowed, what: str) -> List[str]:
-    items = [tok.strip() for tok in value.split(",") if tok.strip()]
-    for tok in items:
-        if tok not in allowed:
-            raise ValueError(f"unknown {what} {tok!r} (choose from {allowed})")
-    if not items:
-        raise ValueError(f"empty {what} list")
-    return items
+def _split_choices(value: str) -> List[str]:
+    return [tok.strip() for tok in value.split(",")]
+
+
+def _write_output(out: Optional[str], instance_path: str, suffix: str,
+                  text: str) -> Path:
+    """Write ``text`` to ``out``, or by default to the instance's stem plus
+    ``suffix`` in the output directory; returns the path written."""
+    path = Path(out) if out else \
+        _out_dir(None) / (Path(instance_path).stem + suffix)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    return path
 
 
 def _instance_stats(instance) -> Dict[str, object]:
@@ -142,46 +155,57 @@ def cmd_generate(args) -> int:
 # solve
 # ---------------------------------------------------------------------------
 
+def _timed_table(instance, heuristic: str):
+    t0 = time.perf_counter()
+    table = make_table(instance, heuristic)
+    return table, time.perf_counter() - t0
+
+
+def _sup_lower_bound(instance) -> str:
+    try:
+        return repr(sup_path(instance).cost)
+    except ValueError:  # goal unreachable
+        return ""
+
+
+def _solve_row(instance, config, table, table_time):
+    """Solve once; returns the result and its report columns, all of
+    ``REPORT_FIELDS`` but ``sup_lower_bound``, which depends only on the
+    instance and is left to the caller."""
+    result = labeling.solve(instance, config, table=table)
+    s = result.stats
+    return result, {
+        "status": result.status,
+        "cost": "" if result.solution is None else repr(result.solution.cost),
+        "wall_time": f"{s.wall_time:.6f}",
+        "table_time": f"{table_time:.6f}",
+        "labels_created": s.labels_created,
+        "labels_treated": s.labels_treated,
+        "labels_pruned": s.labels_pruned,
+        "peak_open": s.peak_open,
+        "rounds": s.rounds,
+    }
+
+
 def cmd_solve(args) -> int:
     instance = load(args.instance)
     config = labeling.SolverConfig(
         selection=args.selection, heuristic=args.heuristic,
         max_labels=args.max_labels, max_seconds=args.max_seconds)
-    t0 = time.perf_counter()
-    table = make_table(instance, config.heuristic)
-    table_time = time.perf_counter() - t0
-    result = labeling.solve(instance, config, table=table)
-    s = result.stats
-
-    try:
-        lb = sup_path(instance).cost
-    except ValueError:
-        lb = None
-    parts = [f"status={result.status}"]
-    if result.solution is not None:
-        parts.append(f"cost={result.solution.cost!r}")
-    if lb is not None:
-        parts.append(f"sup_lower_bound={lb!r}")
-    if result.status == labeling.STATUS_LIMIT:
-        parts.append(f"open_lower_bound={result.lower_bound!r}")
-    parts += [
-        f"wall_time={s.wall_time:.6f}", f"table_time={table_time:.6f}",
-        f"labels_created={s.labels_created}",
-        f"labels_treated={s.labels_treated}",
-        f"labels_pruned={s.labels_pruned}", f"peak_open={s.peak_open}",
-        f"rounds={s.rounds}",
-    ]
+    result, row = _solve_row(instance, config,
+                             *_timed_table(instance, config.heuristic))
+    row["sup_lower_bound"] = _sup_lower_bound(instance)
+    parts = []
+    for key in REPORT_FIELDS:
+        if row[key] != "":
+            parts.append(f"{key}={row[key]}")
+        if key == "sup_lower_bound" and result.status == labeling.STATUS_LIMIT:
+            parts.append(f"open_lower_bound={result.lower_bound!r}")
     print(" ".join(parts))
 
     if result.solution is not None:
-        if args.out:
-            out_path = Path(args.out)
-        else:
-            stem = Path(args.instance).stem
-            out_path = _out_dir(None) / f"{stem}.solution.json"
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(solution_dumps(instance, result.solution))
+        out_path = _write_output(args.out, args.instance, ".solution.json",
+                                 solution_dumps(instance, result.solution))
         print(f"solution written to {out_path}")
     elif result.status == labeling.STATUS_INFEASIBLE:
         print("no feasible path")
@@ -215,60 +239,35 @@ def _suite_files(suite_dir: Path) -> List[Path]:
     return files
 
 
-def _bench_one(path_str: str, selections: List[str], heuristics: List[str],
-               max_labels: Optional[int],
-               max_seconds: Optional[float]) -> List[Dict[str, object]]:
-    """All configured runs for one instance file (table shared per
-    heuristic); errors become flagged rows so the sweep continues."""
+def _bench_one(path_str: str, configs) -> List[Dict[str, object]]:
+    """The runs of every ``SolverConfig`` in ``configs`` on one instance
+    file (table shared per heuristic); errors become flagged rows so the
+    sweep continues."""
     path = Path(path_str)
     base: Dict[str, object] = {k: "" for k in CSV_FIELDS}
     base["id"] = path.stem
     try:
         instance = load(path)
-    except (FormatError, InvalidInstanceError, OSError) as exc:
+    except _LOAD_ERRORS as exc:
         base.update(status="error", note=str(exc))
-        return [dict(base)]
-    base.update(_instance_stats(instance))
-    try:
-        lb = sup_path(instance).cost
-    except ValueError:
-        lb = None
-    base["sup_lower_bound"] = "" if lb is None else repr(lb)
+        return [base]
+    base.update(_instance_stats(instance),
+                sup_lower_bound=_sup_lower_bound(instance))
 
     rows = []
-    for heuristic in heuristics:
-        t0 = time.perf_counter()
-        table = make_table(instance, heuristic)
-        table_time = time.perf_counter() - t0
-        for selection in selections:
-            row = dict(base)
-            row.update(selection=selection, heuristic=heuristic,
-                       table_time=f"{table_time:.6f}")
-            try:
-                result = labeling.solve(
-                    instance,
-                    labeling.SolverConfig(selection=selection,
-                                          heuristic=heuristic,
-                                          max_labels=max_labels,
-                                          max_seconds=max_seconds),
-                    table=table)
-            except Exception as exc:  # flag and continue
-                row.update(status="error", note=str(exc))
-                rows.append(row)
-                continue
-            s = result.stats
-            row.update(
-                status=result.status,
-                cost="" if result.solution is None
-                else repr(result.solution.cost),
-                wall_time=f"{s.wall_time:.6f}",
-                labels_created=s.labels_created,
-                labels_treated=s.labels_treated,
-                labels_pruned=s.labels_pruned,
-                peak_open=s.peak_open,
-                rounds=s.rounds,
-            )
-            rows.append(row)
+    tables = {}
+    for config in configs:
+        if config.heuristic not in tables:
+            tables[config.heuristic] = _timed_table(instance, config.heuristic)
+        table, table_time = tables[config.heuristic]
+        row = dict(base, selection=config.selection,
+                   heuristic=config.heuristic)
+        try:
+            row.update(_solve_row(instance, config, table, table_time)[1])
+        except Exception as exc:  # flag and continue
+            row.update(status="error", table_time=f"{table_time:.6f}",
+                       note=str(exc))
+        rows.append(row)
     return rows
 
 
@@ -301,15 +300,16 @@ def _aggregate_rows(rows) -> List[Dict[str, object]]:
 
 def cmd_bench(args) -> int:
     suite_dir = Path(args.suite)
-    selections = _split_choices(args.selection,
-                                (labeling.SELECT_LABEL, labeling.SELECT_NODE),
-                                "selection")
-    heuristics = _split_choices(args.heuristic, ("sld", "sup", "zero"),
-                                "heuristic")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
+    configs = [labeling.SolverConfig(selection=selection, heuristic=heuristic,
+                                     max_labels=args.max_labels,
+                                     max_seconds=args.max_seconds)
+               for heuristic in _split_choices(args.heuristic)
+               for selection in _split_choices(args.selection)]
     files = _suite_files(suite_dir)
 
-    worker_args = [(str(p), selections, heuristics, args.max_labels,
-                    args.max_seconds) for p in files]
+    worker_args = [(str(p), configs) for p in files]
     rows: List[Dict[str, object]] = []
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -353,9 +353,9 @@ def _bench_one_star(wa):
 # ---------------------------------------------------------------------------
 
 _VERIFY_CONFIGS = tuple(
-    (sel, heur)
-    for sel in (labeling.SELECT_LABEL, labeling.SELECT_NODE)
-    for heur in ("sup", "sld"))
+    labeling.SolverConfig(selection=selection, heuristic=heuristic)
+    for selection in (labeling.SELECT_LABEL, labeling.SELECT_NODE)
+    for heuristic in ("sup", "sld"))
 
 
 def cmd_verify(args) -> int:
@@ -364,7 +364,7 @@ def cmd_verify(args) -> int:
     for path in files:
         try:
             instance = load(path)
-        except (FormatError, InvalidInstanceError, OSError) as exc:
+        except _LOAD_ERRORS as exc:
             print(f"{path.stem}: error ({exc})")
             unreadable += 1
             continue
@@ -378,14 +378,12 @@ def cmd_verify(args) -> int:
         problems = []
         solved = None
         tables = {heur: make_table(instance, heur) for heur in ("sup", "sld")}
-        for selection, heuristic in _VERIFY_CONFIGS:
-            if not tables[heuristic].admissible:
+        for config in _VERIFY_CONFIGS:
+            table = tables[config.heuristic]
+            if not table.admissible:
                 continue  # solve rejects it; nothing to cross-check
-            result = labeling.solve(
-                instance, labeling.SolverConfig(selection=selection,
-                                                heuristic=heuristic),
-                table=tables[heuristic])
-            tag = f"{selection}/{heuristic}"
+            result = labeling.solve(instance, config, table=table)
+            tag = f"{config.selection}/{config.heuristic}"
             cost = None if result.solution is None else result.solution.cost
             if reference is None:
                 reference = (tag, result.status, cost)
@@ -433,14 +431,8 @@ def cmd_verify(args) -> int:
 
 def cmd_export_milp(args) -> int:
     instance = load(args.instance)
-    text = verify.build_milp(instance).render()
-    if args.out:
-        out_path = Path(args.out)
-    else:
-        out_path = _out_dir(None) / (Path(args.instance).stem + ".lp")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    out_path = _write_output(args.out, args.instance, ".lp",
+                             verify.build_milp(instance).render())
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -510,8 +502,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     try:
         return args.func(args)
-    except (FormatError, InvalidInstanceError, FileNotFoundError,
-            ValueError, RuntimeError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

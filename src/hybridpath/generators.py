@@ -130,6 +130,10 @@ class GenSpec:
         lo, hi = self.zone_side_range
         if not (0 < lo <= hi <= 1):
             raise ValueError("zone_side_range must be within (0, 1]")
+        # lists (as JSON gives them) become tuples, so equal specs compare
+        # and hash equal
+        for name in ("zone_count_range", "zone_side_range"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.dims is not None:
             object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 
@@ -150,11 +154,7 @@ class GenSpec:
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
-        kwargs = dict(doc)
-        for key in ("zone_count_range", "zone_side_range", "dims"):
-            if isinstance(kwargs.get(key), list):
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**doc)
 
 
 def _rng_for(seed: int, attempt: int) -> np.random.Generator:

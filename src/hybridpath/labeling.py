@@ -271,9 +271,18 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.selection not in (SELECT_LABEL, SELECT_NODE):
-            raise ValueError(f"unknown selection method {self.selection!r}")
+            raise ValueError(f"unknown selection method {self.selection!r} "
+                             "(choose from label, node)")
         if self.heuristic not in ("sld", "sup", "zero"):
-            raise ValueError(f"unknown heuristic {self.heuristic!r}")
+            raise ValueError(f"unknown heuristic {self.heuristic!r} "
+                             "(choose from sld, sup, zero)")
+        if self.max_labels is not None and self.max_labels < 0:
+            raise ValueError(f"max_labels must be non-negative, got "
+                             f"{self.max_labels!r}")
+        # "not >=" so that NaN fails too; inf is allowed (no limit)
+        if self.max_seconds is not None and not self.max_seconds >= 0:
+            raise ValueError(f"max_seconds must be non-negative, got "
+                             f"{self.max_seconds!r}")
 
 
 @dataclass

@@ -3,11 +3,16 @@
 import csv
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hybridpath.cli import main
+import hybridpath
+from hybridpath.cli import REPORT_FIELDS, main
 from hybridpath.instance import EdgeParams, Instance, save
 from conftest import (FIXTURES, FIVE_NODE_COST, FIVE_NODE_SUP_LB,
                       SLD_TRAP_COST, make_chain, make_sld_trap)
@@ -91,6 +96,19 @@ class TestSolve:
         assert main(["solve", str(path),
                      "--out", str(tmp_path / "x.json")]) == 0
         assert float(stats_line(capsys)["cost"]) == SLD_TRAP_COST
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-seconds", "nan"], ["--max-seconds", "-1"],
+        ["--max-labels", "-3"],
+    ])
+    def test_bad_limit_one_line_error(self, tmp_path, capsys, flags):
+        assert main(["solve", FIVE, "--out", str(tmp_path / "x.json"),
+                     *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "non-negative" in captured.err
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.update(b0=math.inf),
@@ -310,6 +328,21 @@ class TestBench:
         assert captured.err.count("\n") == 1
         assert "suite.json" in captured.err
 
+    @pytest.mark.parametrize("flags", [
+        ["--jobs", "0"], ["--jobs", "-1"], ["--max-labels", "-3"],
+        ["--max-seconds", "nan"],
+    ])
+    def test_bad_run_flags_fail_before_any_file(self, tmp_path, capsys,
+                                                flags):
+        suite = make_suite(tmp_path)
+        (suite / "broken.json").write_bytes(BAD_FILES[0])
+        out = tmp_path / "bench.csv"
+        assert main(["bench", str(suite), "--out", str(out), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_limit_rows_marked(self, tmp_path, capsys):
         suite = make_suite(tmp_path)
         out = tmp_path / "bench.csv"
@@ -423,6 +456,77 @@ class TestExportMilp:
         text = (tmp_path / "five_node.lp").read_text()
         assert text.startswith("Minimize")
         assert "batt_le_0_1:" in text
+
+
+class TestReport:
+    @pytest.mark.parametrize("limit", [[], ["--max-labels", "1"]])
+    def test_solve_fields_equal_bench_row(self, tmp_path, capsys, limit):
+        """solve prints the bench row's report columns, non-empty ones
+        only, in CSV order, plus open_lower_bound at a limit."""
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        shutil.copy(FIVE, suite / "five_node.json")
+        out = tmp_path / "bench.csv"
+        assert main(["bench", str(suite), "--out", str(out),
+                     "--selection", "label,node", "--heuristic", "sup,zero",
+                     *limit]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 4
+        capsys.readouterr()
+        for row in rows:
+            main(["solve", FIVE, "--selection", row["selection"],
+                  "--heuristic", row["heuristic"],
+                  "--out", str(tmp_path / "x.json"), *limit])
+            report = stats_line(capsys)
+            keys = [k for k in REPORT_FIELDS if row[k] != ""]
+            if limit:
+                assert row["status"] == "limit"
+                keys.insert(keys.index("sup_lower_bound") + 1,
+                            "open_lower_bound")
+            assert list(report) == keys
+            for key in keys:
+                if key not in ("wall_time", "table_time", "open_lower_bound"):
+                    assert report[key] == row[key], key
+
+
+class TestErrors:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{dir}"],
+        ["export-milp", "{dir}"],
+        ["solve", FIVE, "--out", "{dir}"],
+        ["generate", "{manifest}", "{manifest}"],
+    ], ids=["solve-dir", "export-milp-dir", "solve-out-dir",
+            "generate-into-file"])
+    def test_os_error_one_line(self, tmp_path, capsys, argv):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(TestGenerate.MANIFEST))
+        assert main([arg.format(dir=tmp_path, manifest=manifest)
+                     for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_process_exit_codes(self, tmp_path):
+        """The ``python -m hybridpath.cli`` entry point passes main's
+        code to the process; the four solves run side by side."""
+        dead = tmp_path / "dead.json"
+        make_infeasible(dead)
+        src = str(Path(hybridpath.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        cases = {0: [FIVE], 2: [str(dead)], 3: [FIVE, "--max-labels", "1"],
+                 1: [str(tmp_path)]}
+        procs = {code: subprocess.Popen(
+            [sys.executable, "-m", "hybridpath.cli", "solve", *args,
+             "--out", str(tmp_path / f"{code}.solution.json")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True) for code, args in cases.items()}
+        for code, proc in procs.items():
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == code, err
+            if code == 1:
+                assert err.startswith("error: ") and err.count("\n") == 1
+            else:
+                assert out.startswith("status=") and err == ""
 
 
 class TestUsage:

@@ -280,6 +280,15 @@ class TestGenSpec:
         with pytest.raises(ValueError):
             GenSpec.from_dict(doc)
 
+    def test_list_fields_compare_and_hash_as_tuples(self):
+        # JSON gives lists; the spec must equal and hash like the tuple one
+        listed = GenSpec(n_nodes=64, family="lattice", dims=[8, 8],
+                         zone_count_range=[3, 6], zone_side_range=[0.1, 0.35])
+        plain = GenSpec(n_nodes=64, family="lattice", dims=(8, 8))
+        assert listed == plain
+        assert hash(listed) == hash(plain)
+        assert listed.to_dict() == plain.to_dict()
+
     def test_meta_carries_spec_and_stats(self):
         inst = generate(GenSpec(n_nodes=30, seed=2))
         for key in ("n_nodes", "family", "seed", "noise_fraction",

@@ -448,6 +448,11 @@ class TestSolve:
             SolverConfig(selection="both")
         with pytest.raises(ValueError):
             SolverConfig(heuristic="slurp")
+        for limits in (dict(max_labels=-3), dict(max_seconds=-1.0),
+                       dict(max_seconds=float("nan"))):
+            with pytest.raises(ValueError, match="non-negative"):
+                SolverConfig(**limits)
+        SolverConfig(max_labels=0, max_seconds=float("inf"))  # allowed
 
     def test_deterministic(self, five_node):
         a = solve(five_node)
