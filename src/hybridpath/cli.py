@@ -117,17 +117,24 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         defaults["seed"] = args.seed
 
-    out_dir = _out_dir(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    records = []
+    # every id names a file <id>.json beside suite.json in out_dir
     seen = set()
     for entry in entries:
-        entry = dict(entry)
-        eid = entry.pop("id", None)
+        eid = entry.get("id")
         if not eid or not isinstance(eid, str) or eid in seen:
             raise ValueError(f"missing, non-string or duplicate instance id "
                              f"{eid!r}")
+        if eid in (".", "..", "suite") or "/" in eid or "\\" in eid:
+            raise ValueError(f"instance id {eid!r} is not a plain file stem "
+                             f"(no '/' or '\\', not '.', '..' or 'suite')")
         seen.add(eid)
+
+    out_dir = _out_dir(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    records = []
+    for entry in entries:
+        entry = dict(entry)
+        eid = entry.pop("id")
         spec = generators.GenSpec.from_dict({**defaults, **entry})
         instance = generators.generate(spec)
         path = out_dir / f"{eid}.json"

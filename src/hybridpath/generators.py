@@ -39,7 +39,9 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from . import labeling
-from .heuristics import sup_path
+# sup_path stays bound here, unused: perfbench/tracing.py patches it by
+# this name
+from .heuristics import _sup_path_and_table, sup_path  # noqa: F401
 from .instance import DEFAULT_QUANTIZATION, EdgeParams, Instance, validate
 
 FAMILY_EUCLIDEAN = "euclidean"
@@ -339,7 +341,9 @@ def generate(spec: GenSpec) -> Instance:
             b0=0, bmin=0, bmax=0, q0=0, v=0,
             quantization=spec.quantization)
         try:
-            sup = sup_path(probe)
+            # one reverse Dijkstra for the calibration path and the probe
+            # solve's table: the candidate has the probe's edges
+            sup, table = _sup_path_and_table(probe)
         except ValueError:
             discarded += 1
             continue
@@ -359,7 +363,7 @@ def generate(spec: GenSpec) -> Instance:
         if problems:
             raise RuntimeError(f"generator produced an invalid instance: "
                                f"{problems[0]}")
-        result = labeling.solve(candidate, labeling.SolverConfig())
+        result = labeling.solve(candidate, labeling.SolverConfig(), table)
         if result.status == labeling.STATUS_OPTIMAL:
             return candidate
         discarded += 1

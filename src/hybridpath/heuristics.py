@@ -106,6 +106,14 @@ def sup_path(instance: Instance) -> PathResult:
     canonical lower-bound value to compare solver costs against.
     Raises ValueError when the goal is unreachable.
     """
+    return _sup_path_and_table(instance)[0]
+
+
+def _sup_path_and_table(
+        instance: Instance) -> Tuple[PathResult, HeuristicTable]:
+    """``sup_path(instance)`` and ``sup_table(instance)`` from one reverse
+    Dijkstra.  The table depends on the edges alone, so it also serves
+    every instance that differs from this one only in its resources."""
     dist, next_hop = _reverse_dijkstra(instance)
     if dist[instance.start] == INF:
         raise ValueError("goal unreachable from start")
@@ -113,7 +121,8 @@ def sup_path(instance: Instance) -> PathResult:
     while path[-1] != instance.goal:
         path.append(next_hop[path[-1]])
     path_t = tuple(path)
-    return PathResult(path=path_t, cost=path_cost(instance, path_t))
+    return (PathResult(path=path_t, cost=path_cost(instance, path_t)),
+            HeuristicTable(kind=KIND_SUP, h=tuple(dist)))
 
 
 def make_table(instance: Instance, kind: str) -> HeuristicTable:

@@ -20,12 +20,17 @@ labels close in nondecreasing f, so a label closed at a node has d no
 larger than any candidate generated there later.  Candidates are
 therefore tested against closed labels on (b, q, s) alone, through a
 per-node Pareto staircase searched by bisection (see ``OpenList``).  All
-other labels sit in one d-sorted list of Label objects per node and are
-compared on (d, b, q, s, mask).  Node selection keeps its closed labels
-there: it closes every open label of the chosen node at once, including
-labels whose f exceeds the open minimum, and a later candidate there can
-have a smaller d than those.  So that list mixes open and closed labels,
-and ``take_node`` picks the open ones by their ``in_open`` flag.
+other labels are compared on (d, b, q, s, mask).  They sit in per-node
+buckets of equal (d, s, mask): the labels that follow one path under
+different generator schedules share all three.  Within a bucket
+dominance reduces to (b, q), so each bucket is a (b, q) staircase as
+well, and a candidate is tested against a whole bucket with one
+comparison and at most one bisection.  Node selection keeps its closed
+labels in the buckets: it closes every open label of the chosen node at
+once, including labels whose f exceeds the open minimum, and a later
+candidate there can have a smaller d than those.  So the buckets mix
+open and closed labels, and ``take_node`` picks the open ones by their
+``in_open`` flag.
 
 The startup drain applies with transition semantics: the battery pays the
 startup cost only on an off -> on switch of the generator (the start node
@@ -61,7 +66,7 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .heuristics import HeuristicTable, make_table
 from .instance import Instance, Solution, path_cost
@@ -103,6 +108,7 @@ class Label:
 
 
 _by_d = attrgetter("d")
+_by_q = attrgetter("q")
 
 
 def _covers(bs: list, qs: list, b, q) -> bool:
@@ -112,6 +118,14 @@ def _covers(bs: list, qs: list, b, q) -> bool:
     return i < len(bs) and qs[i] >= q
 
 
+def _run_covers(run: List[Label], b, q) -> bool:
+    """Whether a bucket (q ascending, so b descending) holds a label with
+    b' >= b and q' >= q: the one with the least q' >= q has the largest
+    b' among those."""
+    i = bisect_left(run, q, key=_by_q)
+    return i < len(run) and run[i].b >= b
+
+
 class OpenList:
     """Priority structure over open labels keyed by f-cost.
 
@@ -119,27 +133,42 @@ class OpenList:
     order: ``created`` numbers the accepted labels and so counts them,
     and ``created_per_node`` counts them per node.
 
-    Each node keeps two things.  One list of Label objects sorted by d
-    (so rejection scans stop early) holds its open labels and the
-    closed labels that carry a critical mask or were closed by
-    ``take_node``; they are compared on (d, b, q, s, mask), and an
-    accepted candidate evicts the ones it dominates.  A label closed by
-    ``pop_min`` with an empty mask leaves the list for the node's closed
-    (b, q) staircase for its generator bit: the Pareto front of closed
-    labels, b ascending and q descending, probed with ``bisect``.  Every
-    candidate is tested against the generator-on staircase, one with the
-    generator off also against the generator-off staircase.  The
-    staircase drops d, which is sound only under its contract: callers
-    pop labels in f order and the heuristic is consistent, so every
-    label closed at a node has d no larger than any candidate generated
-    there later.  Staircase entries are never evicted.  Heap entries of
-    evicted labels are dropped lazily, as ``in_open`` is what marks a
-    label open.
+    Each node keeps two things.  Its open labels, and the closed labels
+    that carry a critical mask or were closed by ``take_node``, sit in
+    buckets of equal (d, s, mask).  Dominance between two labels of one
+    bucket depends on (b, q) alone, and a dominated label is always
+    rejected or evicted, so each bucket is a staircase: b falls strictly
+    as q rises.  Its head is the label with the largest b and the
+    smallest q.  The node keeps the heads in a list sorted by d, so
+    rejection scans stop early; a bucket of two or more labels also
+    keeps its labels, q ascending, in ``_runs`` under its head.  A
+    candidate is rejected when a bucket with d' <= d, s' >= s and mask'
+    a subset of its mask holds a label with b' >= b and q' >= q.  The
+    head settles that for its whole bucket unless head.b >= b but
+    head.q < q; then one bisection of the bucket's labels does.  An
+    accepted candidate evicts, from each bucket with d' >= d, s' <= s
+    and mask' a superset of its mask, the labels with b' <= b and
+    q' <= q: one contiguous run of the bucket.
+
+    A label closed by ``pop_min`` with an empty mask leaves its bucket
+    for the node's closed (b, q) staircase for its generator bit: the
+    Pareto front of closed labels, b ascending and q descending, probed
+    with ``bisect``.  Every candidate is tested against the generator-on
+    staircase, one with the generator off also against the
+    generator-off staircase.  The staircase drops d, which is sound only
+    under its contract: callers pop labels in f order and the heuristic
+    is consistent, so every label closed at a node has d no larger than
+    any candidate generated there later.  Staircase entries are never
+    evicted.  Heap entries of evicted labels are dropped lazily, as
+    ``in_open`` is what marks a label open.
     """
 
     def __init__(self, n_nodes: int):
         self._heap: List[tuple] = []
-        self._labels: List[List[Label]] = [[] for _ in range(n_nodes)]
+        # per node: the heads of its buckets, sorted by d
+        self._heads: List[List[Label]] = [[] for _ in range(n_nodes)]
+        # head of a bucket of two or more labels -> its labels, q ascending
+        self._runs: Dict[Label, List[Label]] = {}
         # per node: None until a label closes there, then the closed
         # staircases [b_off, q_off, b_on, q_on]
         self._closed: List[Optional[List[list]]] = [None] * n_nodes
@@ -159,7 +188,7 @@ class OpenList:
         beats off) and e's critical-visit mask is a subset of x's.
         Staircase labels are closed with an empty mask and, by the class
         contract, e.d <= x.d, so they are tested on (b, q, s) alone.  An
-        accepted candidate evicts every listed label it weakly
+        accepted candidate evicts every bucketed label it weakly
         dominates; of two equal states the newer one is discarded."""
         closed = self._closed[node]
         if closed is not None and (
@@ -168,26 +197,55 @@ class OpenList:
             self.pruned += 1
             return None
 
-        labels = self._labels[node]
-        for e in labels[:bisect_right(labels, d, key=_by_d)]:
-            if e.b >= b and e.q >= q and e.s >= s \
-                    and (e.mask | mask) == mask:
+        heads = self._heads[node]
+        runs = self._runs
+        # a head has its bucket's largest b; when its q falls short, a
+        # member with a larger q and a smaller b may still cover (b, q)
+        for e in heads[:bisect_right(heads, d, key=_by_d)]:
+            if e.b >= b and (e.q >= q or e in runs
+                             and _run_covers(runs[e], b, q)) \
+                    and e.s >= s and (e.mask | mask) == mask:
                 self.pruned += 1
                 return None
 
         # evictions delete only at indices >= lo, so lo stays the
         # candidate's insert position
-        lo = bisect_left(labels, d, key=_by_d)
-        i = len(labels) - 1
+        lo = bisect_left(heads, d, key=_by_d)
+        i = len(heads) - 1
         while i >= lo:
-            e = labels[i]
-            if b >= e.b and q >= e.q and s >= e.s \
-                    and (mask | e.mask) == e.mask:
-                if e.in_open:
-                    e.in_open = False
-                    self.n_open -= 1
-                self.pruned += 1
-                del labels[i]
+            e = heads[i]
+            # a head has its bucket's smallest q, so q >= e.q is needed
+            # for any eviction from the bucket
+            if q >= e.q and s >= e.s and (mask | e.mask) == e.mask:
+                if e not in runs:
+                    if b >= e.b:
+                        if e.in_open:
+                            e.in_open = False
+                            self.n_open -= 1
+                        self.pruned += 1
+                        del heads[i]
+                else:
+                    run = runs[e]
+                    # the labels with q' <= q come first and b falls
+                    # along them: the dominated ones end at index j
+                    j = k = bisect_right(run, q, key=_by_q)
+                    while k and run[k - 1].b <= b:
+                        k -= 1
+                    if k < j:
+                        for x in run[k:j]:
+                            if x.in_open:
+                                x.in_open = False
+                                self.n_open -= 1
+                        self.pruned += j - k
+                        del run[k:j]
+                        if not k or len(run) == 1:
+                            del runs[e]
+                            if not run:
+                                del heads[i]
+                            else:
+                                heads[i] = run[0]
+                                if len(run) > 1:
+                                    runs[run[0]] = run
             i -= 1
 
         label = Label(node, d, b, q, s, f, parent, mask)
@@ -195,20 +253,39 @@ class OpenList:
         self.created += 1
         self.created_per_node[node] += 1
         label.in_open = True
-        labels.insert(lo, label)
+        # join the candidate's bucket, whose head has d' == d, or start one
+        p = lo
+        while p < len(heads) and heads[p].d == d:
+            e = heads[p]
+            if e.s == s and e.mask == mask:
+                run = runs.pop(e, None) or [e]
+                run.insert(bisect_left(run, q, key=_by_q), label)
+                heads[p] = run[0]
+                runs[run[0]] = run
+                break
+            p += 1
+        else:
+            heads.insert(lo, label)
         heapq.heappush(self._heap, (f, -b, -q, label.seq, label))
         self.n_open += 1
         return label
 
     def _close(self, label: Label) -> None:
-        """Move a popped label with an empty mask from the node's sorted
-        list to its closed staircase."""
+        """Move a popped label with an empty mask from its bucket to its
+        node's closed staircase."""
         node = label.node
-        labels = self._labels[node]
-        i = bisect_left(labels, label.d, key=_by_d)
-        while labels[i] is not label:
-            i += 1
-        del labels[i]
+        heads = self._heads[node]
+        p = bisect_left(heads, label.d, key=_by_d)
+        while heads[p].s != label.s or heads[p].mask != label.mask:
+            p += 1
+        run = self._runs.pop(heads[p], None)
+        if run is None:
+            del heads[p]
+        else:
+            del run[bisect_left(run, label.q, key=_by_q)]
+            heads[p] = run[0]
+            if len(run) > 1:
+                self._runs[run[0]] = run
         closed = self._closed[node]
         if closed is None:
             closed = self._closed[node] = [[], [], [], []]
@@ -250,11 +327,15 @@ class OpenList:
     def take_node(self, node: int) -> List[Label]:
         """Remove and return every open label of ``node`` in heap order
         (ascending f, then the tie-breaks).  They stay in the node's
-        sorted list, which also holds the node's closed labels, hence the
+        buckets, which also hold the node's closed labels, hence the
         ``in_open`` filter: node selection closes labels whose f exceeds
         the open minimum, so the staircase contract does not hold for
         them."""
-        labels = [e for e in self._labels[node] if e.in_open]
+        runs = self._runs
+        bucketed = []
+        for e in self._heads[node]:
+            bucketed += runs.get(e) or (e,)
+        labels = [e for e in bucketed if e.in_open]
         for e in labels:
             e.in_open = False
         self.n_open -= len(labels)

@@ -200,6 +200,19 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("eid", ["../evil", "sub/a", "sub\\a", ".",
+                                     "..", "suite"])
+    def test_id_not_a_file_stem_rejected(self, tmp_path, capsys, eid):
+        # "../evil" would land beside the output directory, "suite" would
+        # be overwritten by the index; nothing may be written
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {"instances": [{"id": "a", "n_nodes": 9}, {"id": eid}]}))
+        assert main(["generate", str(path), str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
     def test_unknown_spec_field_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"instances": [{"id": "a", "wings": 2}]}))

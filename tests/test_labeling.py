@@ -5,6 +5,8 @@ import itertools
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridpath.generators import GenSpec, generate
 from hybridpath.heuristics import make_table
@@ -314,6 +316,187 @@ class TestOpenList:
         assert ol.created == 3
         assert ol.created_per_node == [2, 1]
         assert ol.pruned == 2
+
+    # Labels of one bucket share (d, s, mask) and form a (b, q) staircase;
+    # its head has the largest b and the smallest q.
+
+    def test_covered_only_by_non_head_member(self):
+        ol = OpenList(1)
+        assert offer(ol, d=1.0, b=5, q=1)
+        assert offer(ol, d=1.0, b=1, q=5)
+        # the head (5, 1) has b >= 1 but q < 4; (1, 5) covers
+        assert not offer(ol, d=2.0, b=1, q=4)
+        assert ol.pruned == 1
+        assert offer(ol, d=2.0, b=2, q=4)
+
+    def test_evicts_middle_run(self):
+        ol = OpenList(1)
+        for b, q in ((7, 1), (5, 3), (3, 5), (1, 7)):
+            assert offer(ol, d=2.0, b=b, q=q)
+        assert offer(ol, d=2.0, b=5, q=5)
+        assert (ol.n_open, ol.pruned) == (3, 2)
+        assert not offer(ol, d=2.0, b=4, q=4)
+        assert offer(ol, d=2.0, b=4, q=6)
+        assert [(l.b, l.q) for l in ol.take_node(0)] == [
+            (7, 1), (5, 5), (4, 6), (1, 7)]
+
+    def test_new_head_replaces_old(self):
+        ol = OpenList(1)
+        assert offer(ol, d=1.0, b=5, q=1)
+        assert offer(ol, d=1.0, b=1, q=5)
+        assert offer(ol, d=1.0, b=6, q=0)
+        assert not offer(ol, d=1.0, b=6, q=0)
+        assert not offer(ol, d=1.5, b=4, q=1)
+        # (6, 1) evicts the new head (6, 0) and the old one (5, 1)
+        assert offer(ol, d=1.0, b=6, q=1)
+        assert (ol.n_open, ol.pruned) == (2, 4)
+        assert [(l.b, l.q) for l in ol.take_node(0)] == [(6, 1), (1, 5)]
+
+    def test_eviction_of_head_keeps_rest_of_bucket(self):
+        ol = OpenList(1)
+        for b, q in ((7, 1), (5, 3), (3, 5)):
+            assert offer(ol, d=2.0, b=b, q=q)
+        # a cheaper candidate in another bucket evicts the head alone
+        assert offer(ol, d=1.0, b=7, q=2)
+        assert (ol.n_open, ol.pruned) == (3, 1)
+        assert not offer(ol, d=2.0, b=3, q=4)
+        assert [(l.b, l.q) for l in ol.take_node(0)] == [
+            (7, 2), (5, 3), (3, 5)]
+
+    def test_pop_min_closes_middle_member(self):
+        ol = OpenList(1)
+        for b, q, f in ((7, 1, 2.0), (5, 3, 1.0), (3, 5, 2.0)):
+            ol.insert_candidate(0, 1.0, b, q, False, f, None, 0)
+        assert (ol.pop_min().b, ol.n_open) == (5, 2)
+        assert not offer(ol, d=1.0, b=4, q=3)  # the closed staircase
+        assert not offer(ol, d=1.0, b=6, q=1)  # the head
+        assert not offer(ol, d=1.0, b=3, q=4)  # the last member
+        assert offer(ol, d=1.0, b=5, q=4)
+        assert [ol.pop_min().b for _ in range(3)] == [5, 7, 3]
+        assert ol.pop_min() is None and ol.n_open == 0
+
+    def test_take_node_returns_bucket_in_heap_order(self):
+        ol = OpenList(1)
+        for b, q, f in ((1, 7, 3.0), (7, 1, 4.0), (3, 5, 3.0), (5, 3, 2.0)):
+            ol.insert_candidate(0, 1.0, b, q, True, f, None, 0b1)
+        ol.insert_candidate(0, 1.0, 9, 9, False, 3.0, None, 0)
+        assert [(l.b, l.q, l.f) for l in ol.take_node(0)] == [
+            (5, 3, 2.0), (9, 9, 3.0), (3, 5, 3.0), (1, 7, 3.0), (7, 1, 4.0)]
+        assert ol.n_open == 0 and ol.peek_min() is None
+
+
+def _heap_key(label):
+    return (label.f, -label.b, -label.q, label.seq)
+
+
+def _state(label):
+    return (label.node, label.d, label.b, label.q, label.s, label.mask,
+            label.seq)
+
+
+class ReferenceOpenList:
+    """A brute-force model of OpenList: flat lists of labels and the one
+    dominance rule exactly as the ``insert_candidate`` docstring states
+    it.  A label ``pop_min`` closes with an empty mask joins its node's
+    closed list, tested on (b, q, s) alone; every other label stays
+    listed and is tested on (d, b, q, s, mask)."""
+
+    def __init__(self, n_nodes):
+        self.listed = [[] for _ in range(n_nodes)]
+        self.closed = [[] for _ in range(n_nodes)]
+        self.created = 0
+        self.created_per_node = [0] * n_nodes
+        self.pruned = 0
+
+    @property
+    def n_open(self):
+        return sum(e.in_open for listed in self.listed for e in listed)
+
+    def insert(self, node, d, b, q, s, f, mask):
+        if any(e.b >= b and e.q >= q and e.s >= s
+               for e in self.closed[node]) or any(
+                e.d <= d and e.b >= b and e.q >= q and e.s >= s
+                and e.mask | mask == mask for e in self.listed[node]):
+            self.pruned += 1
+            return None
+        kept = [e for e in self.listed[node]
+                if not (d <= e.d and b >= e.b and q >= e.q and s >= e.s
+                        and mask | e.mask == e.mask)]
+        self.pruned += len(self.listed[node]) - len(kept)
+        label = Label(node, d, b, q, s, f, None, mask)
+        label.seq = self.created
+        label.in_open = True
+        self.created += 1
+        self.created_per_node[node] += 1
+        self.listed[node] = kept + [label]
+        return label
+
+    def pop_min(self):
+        labels = [e for listed in self.listed for e in listed if e.in_open]
+        if not labels:
+            return None
+        label = min(labels, key=_heap_key)
+        label.in_open = False
+        if not label.mask:
+            self.listed[label.node].remove(label)
+            self.closed[label.node].append(label)
+        return label
+
+    def take_node(self, node):
+        labels = sorted((e for e in self.listed[node] if e.in_open),
+                        key=_heap_key)
+        for e in labels:
+            e.in_open = False
+        return labels
+
+
+@st.composite
+def open_list_runs(draw):
+    """A node count and a sequence of OpenList operations on it.  Each
+    run offers its states under a few (node, d, s, mask) keys, with d
+    from three values and masks from {0, 1, 3}, and small b and q, so
+    that buckets of several labels form.  Half the states lie near the
+    line b + q = 5, as one path's schedules do, which keeps buckets
+    long."""
+    n = draw(st.integers(1, 3))
+    nodes = st.integers(0, n - 1)
+    keys = draw(st.lists(
+        st.tuples(nodes, st.sampled_from((1.0, 2.0, 3.0)), st.booleans(),
+                  st.sampled_from((0, 1, 3))), min_size=1, max_size=5))
+    resources = st.one_of(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.tuples(st.integers(0, 5), st.integers(-1, 1)).map(
+            lambda bt: (bt[0], 5 - bt[0] + bt[1])))
+    insert = st.tuples(st.just("insert"), st.sampled_from(keys), resources,
+                       st.integers(0, 2))
+    ops = st.one_of(insert, insert, insert, st.just(("pop",)),
+                    st.tuples(st.just("take"), nodes))
+    return n, draw(st.lists(ops, min_size=20, max_size=80))
+
+
+class TestOpenListModel:
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=None)
+    @given(open_list_runs())
+    def test_matches_reference(self, run):
+        n, ops = run
+        ol, ref = OpenList(n), ReferenceOpenList(n)
+        for op in ops:
+            if op[0] == "insert":
+                _, (node, d, s, mask), (b, q), h = op
+                got = ol.insert_candidate(node, d, b, q, s, d + h, None,
+                                          mask)
+                want = ref.insert(node, d, b, q, s, d + h, mask)
+                assert (got is None) == (want is None), op
+            elif op[0] == "pop":
+                got, want = ol.pop_min(), ref.pop_min()
+                assert (got and _state(got)) == (want and _state(want))
+            else:
+                assert ([_state(l) for l in ol.take_node(op[1])]
+                        == [_state(l) for l in ref.take_node(op[1])])
+            assert (ol.n_open, ol.pruned, ol.created) == (
+                ref.n_open, ref.pruned, ref.created), op
+            assert ol.created_per_node == ref.created_per_node
 
 
 class TestSelection:
