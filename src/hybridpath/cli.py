@@ -15,6 +15,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -246,11 +247,10 @@ def _suite_files(suite_dir: Path) -> List[Path]:
     return files
 
 
-def _bench_one(path_str: str, configs) -> List[Dict[str, object]]:
+def _bench_one(path: Path, configs) -> List[Dict[str, object]]:
     """The runs of every ``SolverConfig`` in ``configs`` on one instance
     file (table shared per heuristic); errors become flagged rows so the
     sweep continues."""
-    path = Path(path_str)
     base: Dict[str, object] = {k: "" for k in CSV_FIELDS}
     base["id"] = path.stem
     try:
@@ -316,15 +316,14 @@ def cmd_bench(args) -> int:
                for selection in _split_choices(args.selection)]
     files = _suite_files(suite_dir)
 
-    worker_args = [(str(p), configs) for p in files]
     rows: List[Dict[str, object]] = []
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for chunk in pool.map(_bench_one_star, worker_args):
+            for chunk in pool.map(_bench_one, files, repeat(configs)):
                 rows.extend(chunk)
     else:
-        for wa in worker_args:
-            rows.extend(_bench_one(*wa))
+        for path in files:
+            rows.extend(_bench_one(path, configs))
 
     rows.sort(key=lambda r: (str(r["family"]), str(r["n_nodes"]),
                              str(r["selection"]), str(r["heuristic"]),
@@ -349,10 +348,6 @@ def cmd_bench(args) -> int:
             writer.writerows(agg)
         print(f"wrote {len(agg)} aggregate rows to {args.aggregate}")
     return EXIT_ERROR if n_bad else EXIT_OK
-
-
-def _bench_one_star(wa):
-    return _bench_one(*wa)
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from . import labeling
-# sup_path stays bound here, unused: perfbench/tracing.py patches it by
-# this name
-from .heuristics import _sup_path_and_table, sup_path  # noqa: F401
+from .heuristics import sup_path
 from .instance import DEFAULT_QUANTIZATION, EdgeParams, Instance, validate
 
 FAMILY_EUCLIDEAN = "euclidean"
@@ -167,17 +165,15 @@ def _rng_for(seed: int, attempt: int) -> np.random.Generator:
 def farthest_pair(points: np.ndarray) -> Tuple[int, int]:
     """Indices (i, j), i < j, of a maximum-distance point pair.
 
-    Candidates are restricted to convex hull vertices for large inputs
-    (the diameter is attained there); ties resolve to the smallest index
-    pair, so lattices pick opposite corners deterministically.
+    Candidates are the convex hull's vertices (the diameter is attained
+    there), or every point when Qhull cannot build a hull (too few
+    points, or all on one line or plane); ties resolve to the smallest
+    index pair, so lattices pick opposite corners deterministically.
     """
-    n = len(points)
-    cand = np.arange(n)
-    if n > 400:
-        try:
-            cand = np.sort(ConvexHull(points).vertices)
-        except QhullError:
-            cand = np.arange(n)
+    try:
+        cand = np.sort(ConvexHull(points).vertices)
+    except QhullError:
+        cand = np.arange(len(points))
     pts = points[cand]
     best = (-1.0, -1, -1)
     for a in range(len(cand) - 1):
@@ -341,9 +337,9 @@ def generate(spec: GenSpec) -> Instance:
             b0=0, bmin=0, bmax=0, q0=0, v=0,
             quantization=spec.quantization)
         try:
-            # one reverse Dijkstra for the calibration path and the probe
-            # solve's table: the candidate has the probe's edges
-            sup, table = _sup_path_and_table(probe)
+            # the candidate has the probe's edges, so the sweep's table
+            # also serves the probe solve
+            sup = sup_path(probe)
         except ValueError:
             discarded += 1
             continue
@@ -363,7 +359,7 @@ def generate(spec: GenSpec) -> Instance:
         if problems:
             raise RuntimeError(f"generator produced an invalid instance: "
                                f"{problems[0]}")
-        result = labeling.solve(candidate, labeling.SolverConfig(), table)
+        result = labeling.solve(candidate, labeling.SolverConfig(), sup.table)
         if result.status == labeling.STATUS_OPTIMAL:
             return candidate
         discarded += 1

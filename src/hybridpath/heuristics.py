@@ -39,10 +39,12 @@ class HeuristicTable:
 
 @dataclass(frozen=True)
 class PathResult:
-    """An unconstrained shortest path (no schedule, no resource traces)."""
+    """An unconstrained shortest path (no schedule, no resource traces)
+    and the ``sup`` table of the sweep that found it."""
 
     path: Tuple[int, ...]
     cost: float
+    table: HeuristicTable
 
 
 def sld_table(instance: Instance) -> HeuristicTable:
@@ -100,20 +102,15 @@ def sup_table(instance: Instance) -> HeuristicTable:
 
 
 def sup_path(instance: Instance) -> PathResult:
-    """The unconstrained shortest start -> goal path and its cost.
+    """The unconstrained shortest start -> goal path, its cost and the
+    ``sup`` table, all from one reverse Dijkstra.
 
     The cost is the exact-rounded sum over the path's edges, so it is the
-    canonical lower-bound value to compare solver costs against.
+    canonical lower-bound value to compare solver costs against.  The
+    table depends on the edges alone, so it also serves every instance
+    that differs from this one only in its resources.
     Raises ValueError when the goal is unreachable.
     """
-    return _sup_path_and_table(instance)[0]
-
-
-def _sup_path_and_table(
-        instance: Instance) -> Tuple[PathResult, HeuristicTable]:
-    """``sup_path(instance)`` and ``sup_table(instance)`` from one reverse
-    Dijkstra.  The table depends on the edges alone, so it also serves
-    every instance that differs from this one only in its resources."""
     dist, next_hop = _reverse_dijkstra(instance)
     if dist[instance.start] == INF:
         raise ValueError("goal unreachable from start")
@@ -121,8 +118,8 @@ def _sup_path_and_table(
     while path[-1] != instance.goal:
         path.append(next_hop[path[-1]])
     path_t = tuple(path)
-    return (PathResult(path=path_t, cost=path_cost(instance, path_t)),
-            HeuristicTable(kind=KIND_SUP, h=tuple(dist)))
+    return PathResult(path=path_t, cost=path_cost(instance, path_t),
+                      table=HeuristicTable(kind=KIND_SUP, h=tuple(dist)))
 
 
 def make_table(instance: Instance, kind: str) -> HeuristicTable:

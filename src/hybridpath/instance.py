@@ -425,16 +425,15 @@ def dumps(instance: Instance) -> str:
     q = instance.quantization
     emap = instance.edge_map
     records = []
-    done = set()
     for e in sorted(instance.edges, key=lambda e: (e.u, e.v)):
-        if (e.u, e.v) in done:
-            continue
         rev = emap.get((e.v, e.u))
         undirected = (
             rev is not None
             and (rev.d, rev.c, rev.z, rev.gen_allowed, rev.gliding)
             == (e.d, e.c, e.z, e.gen_allowed, e.gliding)
         )
+        if undirected and e.v < e.u:
+            continue  # written as the (v, u) record
         rec = {
             "u": e.u,
             "v": e.v,
@@ -445,14 +444,11 @@ def dumps(instance: Instance) -> str:
             "gliding": e.gliding,
             "undirected": undirected,
         }
-        records.append(json.dumps(rec, separators=(", ", ": ")))
-        done.add((e.u, e.v))
-        if undirected:
-            done.add((e.v, e.u))
+        records.append(json.dumps(rec))
 
     lines = ["{"]
     lines.append('"nodes": [')
-    node_lines = [json.dumps(list(c), separators=(", ", ": ")) for c in instance.nodes]
+    node_lines = [json.dumps(list(c)) for c in instance.nodes]
     lines.append(",\n".join(node_lines))
     lines.append("],")
     lines.append('"edges": [')
@@ -470,7 +466,7 @@ def dumps(instance: Instance) -> str:
     ):
         lines.append(f'"{key}": {json.dumps(val)},')
     meta = instance.meta if instance.meta is not None else {}
-    lines.append(f'"meta": {json.dumps(meta, sort_keys=True, separators=(", ", ": "))}')
+    lines.append(f'"meta": {json.dumps(meta, sort_keys=True)}')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

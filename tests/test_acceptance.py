@@ -270,12 +270,21 @@ def test_criterion_08_density_hurts_node_selection_more(connectivity_suite):
                 res = solve(inst, SolverConfig(selection=sel))
                 assert res.status == "optimal"
                 samples.append(res.stats.wall_time)
-            times[(sel, k)] = statistics.median(samples)
-    ratio_label = times[("label", 12)] / times[("label", 4)]
-    ratio_node = times[("node", 12)] / times[("node", 4)]
-    ok = ratio_label < ratio_node
-    detail = (f"median-time growth k=4 to k=12 over {len(seeds)} seeds: "
-              f"label x{ratio_label:.2f} vs node x{ratio_node:.2f}")
+            times[(sel, k)] = samples
+    # per-seed times span two orders of magnitude, so the verdict is on
+    # the geometric mean of per-seed growth; a median of times sits on a
+    # gap between seeds and flips with one run's noise
+    growth = {sel: statistics.geometric_mean(
+        [t12 / t4 for t4, t12 in zip(times[(sel, 4)], times[(sel, 12)])])
+        for sel in ("label", "node")}
+    median = {sel: statistics.median(times[(sel, 12)])
+              / statistics.median(times[(sel, 4)])
+              for sel in ("label", "node")}
+    ok = growth["label"] < growth["node"]
+    detail = (f"per-seed time growth k=4 to k=12 over {len(seeds)} seeds, "
+              f"geometric mean: label x{growth['label']:.2f} vs node "
+              f"x{growth['node']:.2f} (ratio of medians: label "
+              f"x{median['label']:.2f} vs node x{median['node']:.2f})")
     record_criterion(8, "connectivity cost grows faster under node "
                      "selection", ok, detail)
     assert ok, detail

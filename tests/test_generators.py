@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hybridpath import generators
 from hybridpath.generators import GenSpec, farthest_pair, generate
 from hybridpath.instance import dumps, validate
 from hybridpath.labeling import SolverConfig, solve
@@ -224,6 +225,29 @@ _PINNED = [
 ]
 
 
+class TestSupSweep:
+    # tight60 discards 21 infeasible draws; the k=2 spec discards 4 draws
+    # whose goal is unreachable and 1 infeasible one
+    @pytest.mark.parametrize("spec", [
+        GenSpec(n_nodes=60, q_frac=0.7, seed=3),
+        GenSpec(n_nodes=40, k_neighbors=2, seed=4),
+        GenSpec(n_nodes=64, family="lattice", dim=3, seed=0, b_frac=0.7)],
+        ids=["tight60", "k2-unreachable", "lattice64"])
+    def test_one_sweep_per_draw(self, spec, monkeypatch):
+        calls = []
+        sweep = generators.sup_path
+
+        def counted(instance):
+            calls.append(instance)
+            return sweep(instance)
+
+        monkeypatch.setattr(generators, "sup_path", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inst = generate(spec)
+        assert len(calls) == inst.meta["discarded_draws"] + 1
+
+
 class TestPinnedOutput:
     @pytest.mark.parametrize("spec, expected", _PINNED, ids=[
         "small0", "small1", "small2", "small3", "small4", "euclid300",
@@ -310,3 +334,42 @@ class TestFarthestPair:
                    key=lambda ab: math.dist(pts[ab[0]], pts[ab[1]]))
         assert math.dist(pts[i], pts[j]) == pytest.approx(
             math.dist(pts[best[0]], pts[best[1]]))
+
+    @staticmethod
+    def brute_force(pts):
+        """The smallest index pair among the maximum-distance pairs."""
+        best = (-1.0, -1, -1)
+        for a in range(len(pts)):
+            for b in range(a + 1, len(pts)):
+                d2 = float(np.sum((pts[b] - pts[a]) ** 2))
+                if d2 > best[0]:
+                    best = (d2, a, b)
+        return best[1], best[2]
+
+    @pytest.mark.parametrize("pts", [
+        [[0.3, 0.1], [0.9, 0.8]],
+        [[0.1, 0.2, 0.3], [0.4, 0.4, 0.4]],
+        [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        [[2.0, 1.0], [0.0, 0.0], [4.0, 2.0], [1.0, 0.5], [3.0, 1.5]],
+        [[0.0, 0.0, 0.0], [2.0, 2.0, 2.0], [1.0, 1.0, 1.0], [3.0, 3.0, 3.0]],
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+         [0.5, 0.5, 0.0]],
+    ], ids=["two-2d", "two-3d", "coincident", "collinear-2d",
+            "collinear-3d", "coplanar-3d"])
+    def test_degenerate_matches_bruteforce(self, pts):
+        pts = np.array(pts)
+        assert farthest_pair(pts) == self.brute_force(pts)
+
+    @pytest.mark.parametrize("dims", [
+        (2, 2), (2, 5), (3, 3), (4, 7), (6, 6), (2, 2, 2), (3, 2, 4),
+        (3, 3, 3), (4, 4, 4)])
+    def test_lattice_matches_bruteforce(self, dims):
+        pts = np.indices(dims, dtype=float).reshape(len(dims), -1).T
+        assert farthest_pair(pts) == self.brute_force(pts)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_matches_bruteforce(self, dim):
+        rng = np.random.default_rng(dim)
+        for n in (3, 4, 5, 8, 13, 30, 60, 150, 400):
+            pts = rng.random((n, dim))
+            assert farthest_pair(pts) == self.brute_force(pts), n

@@ -107,6 +107,12 @@ class TestSupPath:
         assert sup_path(euclid).cost == pytest.approx(
             sup_table(euclid).h[euclid.start], abs=1e-12)
 
+    def test_table_is_sup_table(self, euclid):
+        lattice = generate(GenSpec(n_nodes=27, family="lattice", dim=3,
+                                   seed=1, b_frac=0.7))
+        for inst in (line_graph(), euclid, lattice):
+            assert sup_path(inst).table == sup_table(inst)
+
     def test_no_route_raises(self):
         inst = Instance(nodes=((0.0, 0.0), (1.0, 0.0)),
                         edges=(EdgeParams(1, 0, 1.0, 0, 0),),

@@ -1,5 +1,6 @@
 """Data model, feasibility replay, and file-format behavior."""
 
+import hashlib
 import json
 import math
 import time
@@ -7,6 +8,7 @@ import warnings
 
 import pytest
 
+from hybridpath.generators import GenSpec, generate
 from hybridpath.instance import (DEFAULT_QUANTIZATION, EdgeParams,
                                  FormatError, Instance, InvalidInstanceError,
                                  build_solution, check_solution, dumps, load,
@@ -142,6 +144,18 @@ class TestFileFormat:
     def test_round_trip_byte_stable(self):
         raw = (FIXTURES / "five_node.json").read_bytes()
         assert dumps(loads(raw)).encode() == raw
+
+    def test_generated_lattice_bytes_pinned(self):
+        # a 3x3x3 lattice: its 36 planar pairs merge into undirected
+        # records, its 48 up/down pairs stay two directed records each
+        inst = generate(GenSpec(n_nodes=27, family="lattice", dim=3,
+                                seed=0, b_frac=0.7))
+        text = dumps(inst)
+        assert text.count('"undirected": true') == 36
+        assert text.count('"undirected": false') == 96
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "108d6e3ef921779bc3f26594cd9e00b3"
+            "c024e41e836dc64b28fe055e3a2d5579")
 
     def test_missing_goal_named(self):
         doc = json.loads((FIXTURES / "five_node.json").read_text())

@@ -6,7 +6,7 @@ must put every original object back."""
 import importlib
 import pathlib
 
-from hybridpath import labeling
+from hybridpath import generators, labeling
 from conftest import FUEL_TRAP_COST, make_fuel_trap
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -38,3 +38,20 @@ def test_tracer_hooks_install_and_restore(monkeypatch):
     metrics = tracer.layer_metrics(0)
     assert metrics["labeling.insert_calls"] > 0
     assert metrics["labeling.labels_created"] == 2 * 9
+
+
+def test_traced_generate_times_its_sup_sweep(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.begin_round(0)
+        inst = generators.generate(generators.GenSpec(n_nodes=60, seed=1))
+        tracer.end_round()
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(0)
+    assert metrics["heuristics.sup_path_s"] > 0
+    assert metrics["heuristics.dijkstra_calls"] == (
+        inst.meta["discarded_draws"] + 1)
