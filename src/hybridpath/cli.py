@@ -169,11 +169,16 @@ def _timed_table(instance, heuristic: str):
     return table, time.perf_counter() - t0
 
 
-def _sup_lower_bound(instance) -> str:
+def _sup_sweep(instance):
+    """The instance's one reverse Dijkstra, timed.  Returns the
+    ``sup_lower_bound`` column ('' when the goal is unreachable) and the
+    ``(table, table_time)`` pair that the sup configs solve with."""
+    t0 = time.perf_counter()
     try:
-        return repr(sup_path(instance).cost)
-    except ValueError:  # goal unreachable
-        return ""
+        sup = sup_path(instance)
+    except ValueError:  # goal unreachable; the search still needs a table
+        return "", _timed_table(instance, "sup")
+    return repr(sup.cost), (sup.table, time.perf_counter() - t0)
 
 
 def _solve_row(instance, config, table, table_time):
@@ -200,9 +205,11 @@ def cmd_solve(args) -> int:
     config = labeling.SolverConfig(
         selection=args.selection, heuristic=args.heuristic,
         max_labels=args.max_labels, max_seconds=args.max_seconds)
-    result, row = _solve_row(instance, config,
-                             *_timed_table(instance, config.heuristic))
-    row["sup_lower_bound"] = _sup_lower_bound(instance)
+    sup_lower_bound, sup_timed = _sup_sweep(instance)
+    timed = sup_timed if config.heuristic == "sup" \
+        else _timed_table(instance, config.heuristic)
+    result, row = _solve_row(instance, config, *timed)
+    row["sup_lower_bound"] = sup_lower_bound
     parts = []
     for key in REPORT_FIELDS:
         if row[key] != "":
@@ -249,7 +256,8 @@ def _suite_files(suite_dir: Path) -> List[Path]:
 
 def _bench_one(path: Path, configs) -> List[Dict[str, object]]:
     """The runs of every ``SolverConfig`` in ``configs`` on one instance
-    file (table shared per heuristic); errors become flagged rows so the
+    file (table shared per heuristic, sup's from the sweep that gives
+    ``sup_lower_bound``); errors become flagged rows so the
     sweep continues."""
     base: Dict[str, object] = {k: "" for k in CSV_FIELDS}
     base["id"] = path.stem
@@ -258,11 +266,11 @@ def _bench_one(path: Path, configs) -> List[Dict[str, object]]:
     except _LOAD_ERRORS as exc:
         base.update(status="error", note=str(exc))
         return [base]
-    base.update(_instance_stats(instance),
-                sup_lower_bound=_sup_lower_bound(instance))
+    sup_lower_bound, sup_timed = _sup_sweep(instance)
+    base.update(_instance_stats(instance), sup_lower_bound=sup_lower_bound)
 
     rows = []
-    tables = {}
+    tables = {"sup": sup_timed}
     for config in configs:
         if config.heuristic not in tables:
             tables[config.heuristic] = _timed_table(instance, config.heuristic)

@@ -23,9 +23,11 @@ Randomness contract: attempt ``i`` for seed ``s`` draws every random
 quantity, in a fixed documented order, from a PCG64 stream seeded with
 SeedSequence([s, i]).  The same spec therefore yields a byte-identical
 instance file.  A draw whose graph leaves the goal unreachable or whose
-calibrated instance has no feasible schedule (checked by an actual
-solve) is discarded and the next attempt runs; discards are recorded in
-instance metadata.
+calibrated instance has no feasible schedule is discarded and the next
+attempt runs; discards are recorded in instance metadata.  Feasibility
+is decided by solves: first on the unconstrained shortest path alone
+(a schedule along it certifies the draw), and only when that path has
+no feasible schedule on the whole instance.
 """
 
 from __future__ import annotations
@@ -343,8 +345,10 @@ def generate(spec: GenSpec) -> Instance:
         except ValueError:
             discarded += 1
             continue
-        energy = sum(probe.edge_map[(sup.path[i], sup.path[i + 1])].c
-                     for i in range(len(sup.path) - 1))
+        path = sup.path
+        path_edges = [probe.edge_map[(path[i], path[i + 1])]
+                      for i in range(len(path) - 1)]
+        energy = sum(e.c for e in path_edges)
         meta = dict(spec.to_dict())
         meta.update(
             noise_fraction=frac, noise_window_met=window_met,
@@ -359,9 +363,21 @@ def generate(spec: GenSpec) -> Instance:
         if problems:
             raise RuntimeError(f"generator produced an invalid instance: "
                                f"{problems[0]}")
-        result = labeling.solve(candidate, labeling.SolverConfig(), sup.table)
-        if result.status == labeling.STATUS_OPTIMAL:
-            return candidate
+        # certificate first: the sup path alone, as a chain renumbered
+        # 0..L-1 with the slice of the sweep's table.  The path is simple,
+        # so a schedule along it is a feasible plan of the candidate.
+        chain = replace(
+            candidate, meta=None,
+            nodes=tuple(candidate.nodes[v] for v in path),
+            edges=tuple(replace(e, u=i, v=i + 1)
+                        for i, e in enumerate(path_edges)),
+            start=0, goal=len(path) - 1)
+        chain_table = replace(sup.table,
+                              h=tuple(sup.table.h[v] for v in path))
+        for probed, table in ((chain, chain_table), (candidate, sup.table)):
+            result = labeling.solve(probed, labeling.SolverConfig(), table)
+            if result.status == labeling.STATUS_OPTIMAL:
+                return candidate
         discarded += 1
     raise RuntimeError(
         f"no feasible instance in {_MAX_ATTEMPTS} attempts for seed "

@@ -294,6 +294,58 @@ class TestBench:
         assert rows["sld"]["cost"] == ""
         assert "inadmissible" in rows["sld"]["note"]
 
+    def test_one_sweep_per_instance(self, tmp_path, capsys, monkeypatch):
+        """bench and solve run one reverse Dijkstra per instance: the sweep
+        that gives sup_lower_bound is the sup rows' table."""
+        sweeps = []
+        sweep = hybridpath.heuristics._reverse_dijkstra
+
+        def counted(instance):
+            sweeps.append(instance)
+            return sweep(instance)
+
+        monkeypatch.setattr(hybridpath.heuristics, "_reverse_dijkstra",
+                            counted)
+        suite = make_suite(tmp_path)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", str(suite), "--out", str(out),
+                     "--selection", "label,node",
+                     "--heuristic", "sup,zero"]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 8
+        assert len(sweeps) == 2
+        assert all(float(r["sup_lower_bound"]) == FIVE_NODE_SUP_LB
+                   for r in rows)
+        for heuristic in ("sup", "zero"):
+            sweeps.clear()
+            assert main(["solve", FIVE, "--heuristic", heuristic,
+                         "--out", str(tmp_path / "x.json")]) == 0
+            assert len(sweeps) == 1, heuristic
+
+    def test_unreachable_goal_rows(self, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        save(Instance(nodes=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
+                      edges=(EdgeParams(1, 2, 1.0, 0, 0),),
+                      start=0, goal=2, b0=5, bmin=0, bmax=5, q0=3, v=0,
+                      quantization=1.0), suite / "cut.json")
+        out = tmp_path / "bench.csv"
+        assert main(["bench", str(suite), "--out", str(out),
+                     "--selection", "label,node",
+                     "--heuristic", "sup,zero"]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 4
+        for row in rows:
+            assert row["status"] == "infeasible"
+            assert row["cost"] == row["sup_lower_bound"] == ""
+            assert float(row["table_time"]) >= 0
+        capsys.readouterr()
+        assert main(["solve", str(suite / "cut.json"),
+                     "--out", str(tmp_path / "x.json")]) == 2
+        report = stats_line(capsys)
+        assert report["status"] == "infeasible"
+        assert "sup_lower_bound" not in report
+
     def test_aggregate_output(self, tmp_path, capsys):
         suite = make_suite(tmp_path)
         agg = tmp_path / "agg.csv"

@@ -11,7 +11,10 @@ an explicit example so a critical-node round with masked labels is always
 exercised, and the fuel trap so that a dominance check ignoring fuel
 fails under both selection methods.  A second property stops every config
 at a random label limit: a ``limit`` bound must not exceed the optimum,
-and any other result must match the oracle.
+and any other result must match the oracle.  A third draws instances
+where fuel decides (a tight battery cap that wastes clamped recharge,
+little fuel, many noise-restricted edges), so that the solver's fuel
+handling is held to the oracle on random draws, not only on the trap.
 """
 
 import dataclasses
@@ -81,6 +84,48 @@ def test_all_configs_match_oracle(inst):
         assert check_solution(inst, res.solution) is None, config
         assignment = assignment_from_solution(inst, res.solution)
         assert check_substitution(model, assignment) == [], config
+
+
+@st.composite
+def fuel_instances(draw):
+    """Instances where fuel decides: a route through every node, a tight
+    battery cap that clamps large recharges (burning fuel for nothing),
+    little fuel, and many noise-restricted edges where the generator
+    cannot run."""
+    n = draw(st.integers(5, 8))
+    coords = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                           min_size=n, max_size=n, unique=True))
+    nodes = tuple(tuple(float(x) for x in c) for c in coords)
+    goal = max(range(1, n), key=lambda i: math.dist(nodes[0], nodes[i]))
+    middle = draw(st.permutations([i for i in range(1, n) if i != goal]))
+    route = [0] + middle + [goal]
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = set(zip(route, route[1:])) | set(draw(st.lists(
+        st.sampled_from(pairs), max_size=2 * n, unique=True)))
+    edges = []
+    for u, v in sorted(chosen):
+        d = math.dist(nodes[u], nodes[v]) * draw(st.sampled_from((1.0, 1.5)))
+        noisy = draw(st.booleans())
+        edges.append(EdgeParams(u, v, d, draw(st.integers(1, 4)),
+                                draw(st.integers(3, 10)), not noisy))
+    bmax = draw(st.integers(4, 8))
+    return Instance(nodes=nodes, edges=tuple(edges), start=0, goal=goal,
+                    b0=bmax, bmin=0, bmax=bmax,
+                    q0=draw(st.integers(2, 10)), v=draw(st.integers(0, 2)),
+                    quantization=1.0)
+
+
+@settings(max_examples=400, derandomize=True, database=None,
+          deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fuel_instances())
+def test_fuel_bound_instances_match_oracle(inst):
+    oracle = oracle_solve(inst)
+    for config in CONFIGS:
+        res = solve(inst, config)
+        assert res.status == oracle.status, config
+        if oracle.solution is not None:
+            assert res.solution.cost == oracle.cost, config
+            assert check_solution(inst, res.solution) is None, config
 
 
 @settings(max_examples=500, derandomize=True, database=None,

@@ -6,9 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hybridpath import generators
+from hybridpath import generators, labeling
 from hybridpath.generators import GenSpec, farthest_pair, generate
+from hybridpath.heuristics import sup_path
 from hybridpath.instance import dumps, validate
 from hybridpath.labeling import SolverConfig, solve
 from test_acceptance import _small_spec
@@ -246,6 +249,110 @@ class TestSupSweep:
             warnings.simplefilter("ignore")
             inst = generate(spec)
         assert len(calls) == inst.meta["discarded_draws"] + 1
+
+
+def probe_solves(spec, attempts=generators._MAX_ATTEMPTS):
+    """Generate ``spec`` with at most ``attempts`` draws and record every
+    ``labeling.solve`` call it makes as (instance, result).  Returns (the
+    instance or None when every draw was discarded, the calls)."""
+    calls = []
+    solve_fn = labeling.solve
+
+    def recorded(instance, config, table):
+        result = solve_fn(instance, config, table)
+        calls.append((instance, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(labeling, "solve", recorded)
+        mp.setattr(generators, "_MAX_ATTEMPTS", attempts)
+        warnings.simplefilter("ignore")
+        try:
+            return generate(spec), calls
+        except RuntimeError:  # no feasible draw in ``attempts``
+            return None, calls
+
+
+def probe_draws(calls):
+    """Split recorded probe solves into draws: (chain call, full call or
+    None).  The full solve follows a chain only when the chain is not
+    feasible."""
+    draws, i = [], 0
+    while i < len(calls):
+        chain = calls[i]
+        certified = chain[1].status == labeling.STATUS_OPTIMAL
+        draws.append((chain, None if certified else calls[i + 1]))
+        i += 1 if certified else 2
+    return draws
+
+
+@st.composite
+def small_specs(draw):
+    family = draw(st.sampled_from((generators.FAMILY_EUCLIDEAN,
+                                   generators.FAMILY_LATTICE)))
+    dim = draw(st.sampled_from((2, 3)))
+    if family == generators.FAMILY_EUCLIDEAN:
+        n, dims = draw(st.integers(6, 40)), None
+    elif dim == 2:
+        dims = (draw(st.integers(2, 5)), draw(st.integers(3, 8)))
+        n = dims[0] * dims[1]
+    else:
+        dims = (2, draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+        n = math.prod(dims)
+    return GenSpec(
+        n_nodes=n, family=family, dim=dim, dims=dims,
+        k_neighbors=draw(st.integers(2, 6)),
+        q_frac=draw(st.floats(0.0, 1.5)), b_frac=draw(st.floats(0.3, 1.3)),
+        v_frac=draw(st.sampled_from((0.0, 0.04))),
+        noise_target=draw(st.sampled_from((0.0, 0.32))),
+        seed=draw(st.integers(0, 10_000)))
+
+
+class TestPathCertificate:
+    """generate first solves the draw's sup path alone, cut out as a chain
+    renumbered 0..L-1, and runs the full probe solve only when the chain
+    has no feasible schedule."""
+
+    # three draws per spec: a spec whose every draw is infeasible would
+    # otherwise spend 64 full solves on one example
+    @settings(max_examples=400, derandomize=True, database=None,
+              deadline=None)
+    @given(small_specs())
+    def test_chain_verdict_agrees_with_full_solve(self, spec):
+        inst, calls = probe_solves(spec, attempts=3)
+        for (chain, chain_result), full in probe_draws(calls):
+            assert chain.start == 0 and chain.goal == chain.n_nodes - 1
+            if full is None:
+                # a feasible chain certifies the draw it ends on
+                assert inst is not None
+                result = solve(inst)
+                assert result.status == labeling.STATUS_OPTIMAL
+                assert result.solution.cost == pytest.approx(
+                    chain_result.solution.cost)
+                continue
+            candidate, result = full
+            assert (chain.b0, chain.bmax, chain.q0, chain.v) == (
+                candidate.b0, candidate.bmax, candidate.q0, candidate.v)
+            if result.status == labeling.STATUS_OPTIMAL:
+                # an infeasible chain: no optimum may fly the sup path
+                assert result.solution.path != sup_path(candidate).path
+
+    def test_solve_calls_by_instance_size(self):
+        # a certified spec never solves its full-size candidate
+        inst, calls = probe_solves(GenSpec(n_nodes=300, seed=0))
+        assert [c.n_nodes for c, _ in calls] == [
+            len(sup_path(inst).path)]
+        # tight60: each of the 21 discarded draws, and the last one, runs
+        # the chain check and then the full solve
+        inst, calls = probe_solves(GenSpec(n_nodes=60, q_frac=0.7, seed=3))
+        assert inst.meta["discarded_draws"] == 21
+        sizes = [c.n_nodes for c, _ in calls]
+        assert sizes[1::2] == [60] * 22
+        assert all(size < 60 for size in sizes[::2])
+        assert len(sizes) == 44
+        statuses = [r.status for _, r in calls]
+        assert statuses[:-1] == [labeling.STATUS_INFEASIBLE] * 43
+        assert statuses[-1] == labeling.STATUS_OPTIMAL
 
 
 class TestPinnedOutput:
