@@ -27,7 +27,11 @@ calibrated instance has no feasible schedule is discarded and the next
 attempt runs; discards are recorded in instance metadata.  Feasibility
 is decided by solves: first on the unconstrained shortest path alone
 (a schedule along it certifies the draw), and only when that path has
-no feasible schedule on the whole instance.
+no feasible schedule on the whole instance.  An infeasible draw is
+settled by that full solve, whose drain-to-goal bound (see ``labeling``)
+drops every label that cannot pay for the rest of the trip, so on
+tight-fuel specs such a draw costs a small fraction of an exhaustive
+search.
 """
 
 from __future__ import annotations

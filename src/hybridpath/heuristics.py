@@ -4,6 +4,12 @@ Three tables are provided: straight-line distance to the goal (``sld``),
 the shortest unconstrained path cost to the goal (``sup``, the tightest
 admissible estimate and a global lower bound on any feasible plan), and
 the all-zeros baseline (``zero``).
+
+``drain_to_goal`` runs the same reverse Dijkstra over the drain ``c``
+instead of the cost ``d``: E(v), the least total drain of any v -> goal
+path.  It is no cost estimate but a resource bound: ``labeling.solve``
+computes it once per call and drops every label whose battery plus fuel
+falls short of bmin + E(v).
 """
 
 from __future__ import annotations
@@ -63,16 +69,19 @@ def zero_table(instance: Instance) -> HeuristicTable:
     return HeuristicTable(kind=KIND_ZERO, h=(0.0,) * instance.n_nodes)
 
 
-def _reverse_dijkstra(instance: Instance) -> Tuple[List[float], List[int]]:
-    """Cost-to-goal over reversed edges; returns (dist, next_hop).
+def _reverse_sweep(instance: Instance,
+                   drain: bool) -> Tuple[List[float], List[int]]:
+    """Least total edge weight, cost ``d`` or with ``drain`` the drain
+    ``c``, from every node to the goal over reversed edges; returns
+    (dist, next_hop).
 
-    ``next_hop[u]`` is the successor of u on a shortest unconstrained
-    u -> goal path (-1 when unreachable or u is the goal).
+    ``next_hop[u]`` is the successor of u on a least-weight u -> goal
+    path (-1 when unreachable or u is the goal).
     """
     n = instance.n_nodes
     into: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
     for e in instance.edges:
-        into[e.v].append((e.u, e.d))
+        into[e.v].append((e.u, e.c if drain else e.d))
     dist = [INF] * n
     next_hop = [-1] * n
     dist[instance.goal] = 0.0
@@ -88,6 +97,20 @@ def _reverse_dijkstra(instance: Instance) -> Tuple[List[float], List[int]]:
                 next_hop[w] = u
                 heapq.heappush(heap, (alt, w))
     return dist, next_hop
+
+
+def _reverse_dijkstra(instance: Instance) -> Tuple[List[float], List[int]]:
+    """Cost-to-goal (the ``d`` sweep) over reversed edges; returns
+    (dist, next_hop)."""
+    return _reverse_sweep(instance, False)
+
+
+def drain_to_goal(instance: Instance) -> List[float]:
+    """E(v): the least total drain ``c`` of any v -> goal path, +inf when
+    the goal is unreachable.  Every edge lowers battery plus fuel by at
+    least its drain, so a label at v needs b + q >= bmin + E(v) to reach
+    the goal (``labeling`` prunes on it)."""
+    return _reverse_sweep(instance, True)[0]
 
 
 def sup_table(instance: Instance) -> HeuristicTable:

@@ -11,8 +11,23 @@ Two selection methods are supported: ``label`` treats the single open
 label of minimum f per iteration, ``node`` treats every open label of the
 node owning the minimum-f label.  The label and time limits are checked
 at one point, before each selection, so a node-selection batch is always
-treated whole before a limit stops the search, and the bound it reports
-is the minimum f over the labels not yet treated.
+finished before a limit stops the search, and the bound it reports is
+the minimum f over the open labels, those not yet selected.  A selected
+label that the drain bound below drops has no feasible completion, so
+leaving it out of the bound keeps the bound sound.
+
+Drain-to-goal bound: ``solve`` runs one reverse Dijkstra over the drain
+``c`` (``heuristics.drain_to_goal``), giving E(v), the least total drain
+of any v -> goal path.  A selected label at v with b + q < bmin + E(v)
+is dropped before it is extended and counted in ``labels_pruned``.  The
+bound is exact because no edge lowers b + q by less than its drain c:
+with the generator off b falls by c and q stays; with it on
+b' = min(b - c - startup + z, bmax) <= b - c + z and q' = q - z.  A goal
+label has b >= bmin and q >= 0, so b + q >= bmin + E(v) holds at every
+label of a feasible plan.  The check sits after the goal test; it never
+drops a goal label, since E(goal) = 0.  Dominance is unaffected: every
+label a dropped one dominates has no more battery and fuel, and so no
+feasible completion either.
 
 Under label selection with a consistent heuristic (``sup`` and ``zero``
 always, ``sld`` whenever it is admissible, which ``solve`` requires),
@@ -68,7 +83,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
-from .heuristics import HeuristicTable, make_table
+from .heuristics import HeuristicTable, drain_to_goal, make_table
 from .instance import Instance, Solution, path_cost
 
 SELECT_LABEL = "label"
@@ -381,10 +396,11 @@ class SolveStats:
 class SolveResult:
     """Outcome of a solve: status is ``optimal``, ``infeasible`` or
     ``limit``.  ``lower_bound`` is the optimal cost itself when status is
-    optimal.  At a limit it is the smallest f over the untreated labels:
+    optimal.  At a limit it is the smallest f over the open labels:
     limits are checked between selections, so under node selection the
-    current batch is finished first and none of its labels is left out
-    of the bound."""
+    current batch is finished first.  Selected labels that the
+    drain-to-goal bound dropped are left out; none of them completes
+    into a feasible plan."""
 
     status: str
     solution: Optional[Solution]
@@ -413,14 +429,14 @@ def extract_path(label: Label, instance: Instance) -> Solution:
     )
 
 
-def _search(instance, config, h, critical_bit, stats, created, t0):
+def _search(instance, config, h, need, critical_bit, stats, created, t0):
     """One labeling pass with the current critical-node set.
 
     Returns (status, best goal label or None, lower bound or None) and
-    accumulates counts into ``stats``/``created``.  ``critical_bit`` maps
-    node id to its mask bit (0 for freely revisitable nodes).  Limits are
-    checked once per selection, at the top of the loop (see the module
-    docstring)."""
+    accumulates counts into ``stats``/``created``.  ``need`` is the
+    drain-to-goal table E, ``critical_bit`` maps node id to its mask bit
+    (0 for freely revisitable nodes).  Limits are checked once per
+    selection, at the top of the loop (see the module docstring)."""
     inf = math.inf
     goal = instance.goal
     bmin, bmax, v_cost = instance.bmin, instance.bmax, instance.v
@@ -456,9 +472,14 @@ def _search(instance, config, h, critical_bit, stats, created, t0):
             status, best, bound = STATUS_OPTIMAL, first, first.d
             break
         edges = adj[first.node]
+        floor = bmin + need[first.node]
         for label in labels:
-            stats.labels_treated += 1
             d0, b0, q0, mask = label.d, label.b, label.q, label.mask
+            if b0 + q0 < floor:
+                # battery plus fuel cannot pay the least drain to the goal
+                stats.labels_pruned += 1
+                continue
+            stats.labels_treated += 1
             startup = 0 if label.s else v_cost
             for v2, ed, ec, ez, allowed, hv, cbit in edges:
                 if mask & cbit:
@@ -493,10 +514,13 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig(),
     Returns the minimum-cost feasible solution, an infeasibility result
     (the search space exhausted), or a limit result with the best lower
     bound still open.  Limits apply across all refinement rounds (see the
-    module docstring).  Pass ``table`` to reuse a precomputed heuristic
-    table (its kind must match the config).  Raises ValueError for an
-    inadmissible table: the search's optimality proof and its closed-label
-    staircase both rest on the estimate never over-estimating.
+    module docstring).  Each call also runs one reverse Dijkstra over the
+    drain, for the drain-to-goal bound that every round prunes on; its
+    time counts toward the time limit and ``wall_time``.  Pass ``table``
+    to reuse a precomputed heuristic table (its kind must match the
+    config).  Raises ValueError for an inadmissible table: the search's
+    optimality proof and its closed-label staircase both rest on the
+    estimate never over-estimating.
     """
     if instance.start == instance.goal:
         raise ValueError("start equals goal")
@@ -526,13 +550,16 @@ def solve(instance: Instance, config: SolverConfig = SolverConfig(),
     # dominance entries) that form no reference cycles: reference counting
     # frees them, and the cyclic collector's passes over the growing live
     # set reclaim nothing.  On 2000-node instances those passes were 30-50%
-    # of a solve, so the collector is paused for the search.
+    # of a solve, so the collector is paused for the search and for the
+    # drain sweep's reversed adjacency lists.
     collecting = gc.isenabled()
     gc.disable()
     try:
+        need = drain_to_goal(instance)
         while True:
             status, best, bound = _search(
-                instance, config, table.h, critical_bit, stats, created, t0)
+                instance, config, table.h, need, critical_bit, stats,
+                created, t0)
             if status != STATUS_OPTIMAL:
                 return finish(status, bound=bound)
             solution = extract_path(best, instance)

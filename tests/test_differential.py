@@ -15,6 +15,8 @@ and any other result must match the oracle.  A third draws instances
 where fuel decides (a tight battery cap that wastes clamped recharge,
 little fuel, many noise-restricted edges), so that the solver's fuel
 handling is held to the oracle on random draws, not only on the trap.
+A fourth draws the fuel trap's shape with random resources, so that a
+closed-label staircase that ignores fuel meets the case it gets wrong.
 """
 
 import dataclasses
@@ -144,3 +146,43 @@ def test_limit_bound_never_exceeds_oracle(inst, max_labels):
         assert res.status == oracle.status, config
         if oracle.solution is not None:
             assert res.solution.cost == oracle.cost, config
+
+
+@st.composite
+def fuel_trap_instances(draw):
+    """The fuel trap (``conftest.make_fuel_trap``) with drawn costs and
+    resources: a cheap approach 0-1 whose generator recharge clamps at
+    bmax, a dearer noisy detour 0-4-1 that keeps the fuel, then a
+    fuel-hungry finish 1-2 and a noisy 2-3 that wants the battery full.
+    Under label selection the approach's label closes at node 1 before
+    the detour's arrives there with less battery and more fuel."""
+    bmax = draw(st.integers(4, 12))
+    approach_c = draw(st.integers(1, 4))
+    approach_z = draw(st.integers(approach_c + 1, approach_c + 8))
+    leg = st.sampled_from((1.0, 1.5))
+    edges = (
+        EdgeParams(0, 1, draw(leg), approach_c, approach_z),
+        EdgeParams(0, 4, draw(leg), draw(st.integers(0, 2)), 0, False),
+        EdgeParams(4, 1, draw(leg), draw(st.integers(0, 2)), 0, False),
+        EdgeParams(1, 2, 1.0, draw(st.integers(2, bmax)),
+                   draw(st.integers(2, 12))),
+        EdgeParams(2, 3, 1.0, draw(st.integers(bmax - 3, bmax)), 0, False),
+    )
+    return Instance(
+        nodes=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (0.5, 0.0)),
+        edges=edges, start=0, goal=3, b0=bmax - draw(st.integers(0, 2)),
+        bmin=0, bmax=bmax, q0=draw(st.integers(2, 12)),
+        v=draw(st.integers(0, 2)), quantization=1.0)
+
+
+@settings(max_examples=300, derandomize=True, database=None,
+          deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fuel_trap_instances())
+def test_fuel_trap_shape_matches_oracle(inst):
+    oracle = oracle_solve(inst)
+    for config in CONFIGS:
+        res = solve(inst, config)
+        assert res.status == oracle.status, config
+        if oracle.solution is not None:
+            assert res.solution.cost == oracle.cost, config
+            assert check_solution(inst, res.solution) is None, config

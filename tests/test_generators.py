@@ -354,6 +354,19 @@ class TestPathCertificate:
         assert statuses[:-1] == [labeling.STATUS_INFEASIBLE] * 43
         assert statuses[-1] == labeling.STATUS_OPTIMAL
 
+    def test_infeasible_draws_stay_small(self):
+        # the tight-fuel cell of the sweep: its 2 discarded draws need the
+        # full solve, where the drain-to-goal bound drops every label that
+        # cannot pay for the rest of the trip.  They create 7,422 and 82
+        # labels; without the bound, 89,056 and 71,323
+        inst, calls = probe_solves(GenSpec(n_nodes=200, q_frac=0.7, seed=1))
+        assert inst.meta["discarded_draws"] == 2
+        fulls = [full for _, full in probe_draws(calls) if full is not None]
+        assert len(fulls) == 2
+        for candidate, result in fulls:
+            assert result.status == labeling.STATUS_INFEASIBLE
+            assert result.stats.labels_created <= 10_000
+
 
 class TestPinnedOutput:
     @pytest.mark.parametrize("spec, expected", _PINNED, ids=[

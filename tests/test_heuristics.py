@@ -6,10 +6,11 @@ import warnings
 import pytest
 
 from hybridpath.generators import GenSpec, generate
-from hybridpath.heuristics import (make_table, sld_table, sup_path,
-                                   sup_table, zero_table)
+from hybridpath.heuristics import (drain_to_goal, make_table, sld_table,
+                                   sup_path, sup_table, zero_table)
 from hybridpath.instance import EdgeParams, Instance
 from hybridpath.labeling import SolverConfig, solve
+from conftest import make_fuel_trap
 
 
 def line_graph():
@@ -131,6 +132,34 @@ class TestSupPath:
             oracle = oracle_solve(inst)
             if oracle.solution is not None:
                 assert sup_path(inst).cost <= oracle.cost + 1e-12
+
+
+def bellman_ford_drain(inst):
+    """Least total drain to the goal by relaxing every edge n times."""
+    dist = [math.inf] * inst.n_nodes
+    dist[inst.goal] = 0
+    for _ in range(inst.n_nodes):
+        for e in inst.edges:
+            dist[e.u] = min(dist[e.u], e.c + dist[e.v])
+    return dist
+
+
+class TestDrainToGoal:
+    def test_matches_bellman_ford(self, five_node, euclid):
+        # node 1 of the last instance cannot reach the goal
+        stranded = Instance(nodes=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
+                            edges=(EdgeParams(0, 2, 2.0, 4, 0),),
+                            start=0, goal=2, b0=5, bmin=0, bmax=5, q0=0,
+                            v=0, quantization=1.0)
+        for inst in (five_node, make_fuel_trap(), euclid, stranded):
+            assert drain_to_goal(inst) == bellman_ford_drain(inst)
+        assert drain_to_goal(stranded) == [4, math.inf, 0]
+
+    def test_fuel_trap_values(self):
+        # node 1 needs the drain of 1-2 and 2-3 (8 + 10), node 4 the
+        # noisy 4-1 (1) on top; from node 0 the detour 0-4-1 drains 2,
+        # one less than 0-1
+        assert drain_to_goal(make_fuel_trap()) == [20, 18, 10, 0, 19]
 
 
 class TestZeroAndFactory:

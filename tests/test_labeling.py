@@ -200,6 +200,24 @@ class TestExtend:
         for kw in TWO_EDGE_GRID:
             self.check(chain_instance(**kw), selection)
 
+    def test_zero_slack_drain_bound(self):
+        # b + q starts at 5 + 3 = bmin + the chain's drain 3 + 3: the
+        # only feasible schedule recharges on the first edge (dipping to
+        # exactly bmin) and lands on b = bmin = 2, q = 0, so the drain
+        # bound must keep every label that lies on it
+        chain = dict(edges=((3, 3, True, False), (3, 1, True, False)),
+                     b0=5, bmin=2, bmax=5, v=0)
+        assert self.answer(**chain, q0=3) == (
+            (True, False), (5, 5, 2), (3, 0, 0))
+        # one unit of fuel less: the start label cannot pay for the trip
+        # and is dropped untreated
+        inst = chain_instance(**chain, q0=2)
+        for config in ALL_CONFIGS:
+            res = solve(inst, config)
+            assert res.status == "infeasible", config
+            assert res.stats.labels_treated == 0, config
+            assert res.stats.labels_pruned == 1, config
+
 
 class TestOpenList:
     def test_insert_and_pop_min(self):
@@ -797,16 +815,16 @@ PINNED_COUNTERS = {
         ("node", "zero"): (19, 12, 11, 3, 2, 8),
     },
     "fuel_trap": {
-        ("label", "sup"): (9, 8, 0, 3, 1, 3),
-        ("label", "zero"): (9, 8, 0, 3, 1, 3),
-        ("node", "sup"): (9, 8, 0, 3, 1, 3),
-        ("node", "zero"): (9, 8, 0, 3, 1, 3),
+        ("label", "sup"): (8, 5, 2, 3, 1, 3),
+        ("label", "zero"): (8, 5, 2, 3, 1, 3),
+        ("node", "sup"): (8, 5, 2, 3, 1, 3),
+        ("node", "zero"): (8, 5, 2, 3, 1, 3),
     },
     "euclid300": {
         ("label", "sup"): (491, 105, 363, 377, 1, 40),
-        ("label", "zero"): (93551, 74117, 511940, 6779, 1, 1794),
+        ("label", "zero"): (82864, 61623, 421476, 5168, 1, 1794),
         ("node", "sup"): (1075, 283, 889, 667, 1, 70),
-        ("node", "zero"): (112631, 83839, 592409, 7691, 1, 2654),
+        ("node", "zero"): (95339, 67138, 469502, 6515, 1, 1907),
     },
     "lattice216": {
         ("label", "sup"): (1612, 351, 4775, 574, 1, 20),
@@ -814,12 +832,13 @@ PINNED_COUNTERS = {
         ("node", "sup"): (2882, 1022, 11982, 1114, 1, 36),
         ("node", "zero"): (3754, 2485, 28157, 602, 1, 59),
     },
-    # the start label has no feasible move: peak_open still counts it
+    # the start label cannot pay the only edge's drain: it is pruned
+    # untreated, and peak_open still counts it
     "dead_end": {
-        ("label", "sup"): (1, 1, 0, 1, 1, 1),
-        ("label", "zero"): (1, 1, 0, 1, 1, 1),
-        ("node", "sup"): (1, 1, 0, 1, 1, 1),
-        ("node", "zero"): (1, 1, 0, 1, 1, 1),
+        ("label", "sup"): (1, 0, 1, 1, 1, 1),
+        ("label", "zero"): (1, 0, 1, 1, 1, 1),
+        ("node", "sup"): (1, 0, 1, 1, 1, 1),
+        ("node", "zero"): (1, 0, 1, 1, 1, 1),
     },
 }
 

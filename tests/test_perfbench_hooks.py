@@ -37,7 +37,7 @@ def test_tracer_hooks_install_and_restore(monkeypatch):
                for (owner, attr), fn in zip(targets, originals))
     metrics = tracer.layer_metrics(0)
     assert metrics["labeling.insert_calls"] > 0
-    assert metrics["labeling.labels_created"] == 2 * 9
+    assert metrics["labeling.labels_created"] == 2 * 8
 
 
 def test_traced_generate_times_its_sup_sweep(monkeypatch):
