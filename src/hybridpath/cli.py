@@ -163,22 +163,21 @@ def cmd_generate(args) -> int:
 # solve
 # ---------------------------------------------------------------------------
 
-def _timed_table(instance, heuristic: str):
+def _tables(instance, heuristics):
+    """The instance's ``sup_lower_bound`` column ('' when the goal is
+    unreachable) and ``{heuristic: (table, table_time)}`` for ``sup`` and
+    every kind in ``heuristics``.  ``sup``'s table is the one ``sup_path``
+    sweep that gives the bound, timed; each other kind is one timed
+    ``make_table``."""
     t0 = time.perf_counter()
-    table = make_table(instance, heuristic)
-    return table, time.perf_counter() - t0
-
-
-def _sup_sweep(instance):
-    """The instance's one reverse Dijkstra, timed.  Returns the
-    ``sup_lower_bound`` column ('' when the goal is unreachable) and the
-    ``(table, table_time)`` pair that the sup configs solve with."""
-    t0 = time.perf_counter()
-    try:
-        sup = sup_path(instance)
-    except ValueError:  # goal unreachable; the search still needs a table
-        return "", _timed_table(instance, "sup")
-    return repr(sup.cost), (sup.table, time.perf_counter() - t0)
+    sup = sup_path(instance)
+    tables = {"sup": (sup.table, time.perf_counter() - t0)}
+    for heuristic in heuristics:
+        if heuristic not in tables:
+            t0 = time.perf_counter()
+            table = make_table(instance, heuristic)
+            tables[heuristic] = (table, time.perf_counter() - t0)
+    return repr(sup.cost) if sup.path else "", tables
 
 
 def _solve_row(instance, config, table, table_time):
@@ -205,10 +204,8 @@ def cmd_solve(args) -> int:
     config = labeling.SolverConfig(
         selection=args.selection, heuristic=args.heuristic,
         max_labels=args.max_labels, max_seconds=args.max_seconds)
-    sup_lower_bound, sup_timed = _sup_sweep(instance)
-    timed = sup_timed if config.heuristic == "sup" \
-        else _timed_table(instance, config.heuristic)
-    result, row = _solve_row(instance, config, *timed)
+    sup_lower_bound, tables = _tables(instance, [config.heuristic])
+    result, row = _solve_row(instance, config, *tables[config.heuristic])
     row["sup_lower_bound"] = sup_lower_bound
     parts = []
     for key in REPORT_FIELDS:
@@ -256,9 +253,8 @@ def _suite_files(suite_dir: Path) -> List[Path]:
 
 def _bench_one(path: Path, configs) -> List[Dict[str, object]]:
     """The runs of every ``SolverConfig`` in ``configs`` on one instance
-    file (table shared per heuristic, sup's from the sweep that gives
-    ``sup_lower_bound``); errors become flagged rows so the
-    sweep continues."""
+    file (one table per heuristic, from ``_tables``); errors become
+    flagged rows so the sweep continues."""
     base: Dict[str, object] = {k: "" for k in CSV_FIELDS}
     base["id"] = path.stem
     try:
@@ -266,14 +262,12 @@ def _bench_one(path: Path, configs) -> List[Dict[str, object]]:
     except _LOAD_ERRORS as exc:
         base.update(status="error", note=str(exc))
         return [base]
-    sup_lower_bound, sup_timed = _sup_sweep(instance)
+    sup_lower_bound, tables = _tables(
+        instance, [config.heuristic for config in configs])
     base.update(_instance_stats(instance), sup_lower_bound=sup_lower_bound)
 
     rows = []
-    tables = {"sup": sup_timed}
     for config in configs:
-        if config.heuristic not in tables:
-            tables[config.heuristic] = _timed_table(instance, config.heuristic)
         table, table_time = tables[config.heuristic]
         row = dict(base, selection=config.selection,
                    heuristic=config.heuristic)
@@ -387,9 +381,9 @@ def cmd_verify(args) -> int:
             reference, skip = None, exc
         problems = []
         solved = None
-        tables = {heur: make_table(instance, heur) for heur in ("sup", "sld")}
+        tables = _tables(instance, ["sld"])[1]
         for config in _VERIFY_CONFIGS:
-            table = tables[config.heuristic]
+            table = tables[config.heuristic][0]
             if not table.admissible:
                 continue  # solve rejects it; nothing to cross-check
             result = labeling.solve(instance, config, table=table)
@@ -426,7 +420,8 @@ def cmd_verify(args) -> int:
             print(f"{path.stem}: MISMATCH — " + "; ".join(problems))
         else:
             cost = "infeasible" if oracle.solution is None else repr(oracle.cost)
-            skipped_heur = [h for h, t in tables.items() if not t.admissible]
+            skipped_heur = [h for h, (t, _) in tables.items()
+                            if not t.admissible]
             print(f"{path.stem}: ok ({cost})" + "".join(
                 f", {h} skipped (inadmissible)" for h in skipped_heur))
             matched += 1

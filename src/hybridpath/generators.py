@@ -53,16 +53,18 @@ FAMILY_LATTICE = "lattice"
 
 _MAX_ATTEMPTS = 64
 _MAX_ZONE_ROUNDS = 400
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _check_number(name: str, value, kind) -> None:
-    """Reject a spec value that is not a finite number of ``kind``
-    (booleans included), instead of coercing it."""
+    """Reject a spec value that is not a number of ``kind`` (booleans
+    included) within the finite float range, instead of coercing it.  The
+    comparison is exact, so it also rejects an integer too large for a
+    float, which ``math.isfinite`` would raise OverflowError on."""
     if isinstance(value, bool) or not isinstance(value, kind) \
-            or not math.isfinite(value):
-        raise ValueError(f"{name} must be "
-                         + ("an integer" if kind is Integral
-                            else "a finite number"))
+            or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise ValueError(f"{name} must be a finite "
+                         + ("integer" if kind is Integral else "number"))
 
 
 @dataclass(frozen=True)
@@ -160,6 +162,8 @@ class GenSpec:
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
+        if "n_nodes" not in doc:  # the one field without a default
+            raise ValueError("spec missing required field 'n_nodes'")
         return cls(**doc)
 
 
@@ -342,11 +346,10 @@ def generate(spec: GenSpec) -> Instance:
             edges=tuple(edges), start=start, goal=goal,
             b0=0, bmin=0, bmax=0, q0=0, v=0,
             quantization=spec.quantization)
-        try:
-            # the candidate has the probe's edges, so the sweep's table
-            # also serves the probe solve
-            sup = sup_path(probe)
-        except ValueError:
+        # the candidate has the probe's edges, so the sweep's table also
+        # serves the probe solve
+        sup = sup_path(probe)
+        if not sup.path:  # goal unreachable
             discarded += 1
             continue
         path = sup.path

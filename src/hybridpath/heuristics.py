@@ -3,7 +3,10 @@
 Three tables are provided: straight-line distance to the goal (``sld``),
 the shortest unconstrained path cost to the goal (``sup``, the tightest
 admissible estimate and a global lower bound on any feasible plan), and
-the all-zeros baseline (``zero``).
+the all-zeros baseline (``zero``).  ``sup_path`` runs the ``sup`` sweep
+once and returns the start -> goal path it implies, with its cost and the
+table; an unreachable goal is part of that result (no path, cost +inf),
+not an error.
 
 ``drain_to_goal`` runs the same reverse Dijkstra over the drain ``c``
 instead of the cost ``d``: E(v), the least total drain of any v -> goal
@@ -46,7 +49,8 @@ class HeuristicTable:
 @dataclass(frozen=True)
 class PathResult:
     """An unconstrained shortest path (no schedule, no resource traces)
-    and the ``sup`` table of the sweep that found it."""
+    and the ``sup`` table of the sweep that found it.  When the goal is
+    unreachable from start, ``path`` is () and ``cost`` is +inf."""
 
     path: Tuple[int, ...]
     cost: float
@@ -99,12 +103,6 @@ def _reverse_sweep(instance: Instance,
     return dist, next_hop
 
 
-def _reverse_dijkstra(instance: Instance) -> Tuple[List[float], List[int]]:
-    """Cost-to-goal (the ``d`` sweep) over reversed edges; returns
-    (dist, next_hop)."""
-    return _reverse_sweep(instance, False)
-
-
 def drain_to_goal(instance: Instance) -> List[float]:
     """E(v): the least total drain ``c`` of any v -> goal path, +inf when
     the goal is unreachable.  Every edge lowers battery plus fuel by at
@@ -120,7 +118,7 @@ def sup_table(instance: Instance) -> HeuristicTable:
     the per-node shortest-path costs with every resource and noise
     constraint dropped.
     """
-    dist, _ = _reverse_dijkstra(instance)
+    dist, _ = _reverse_sweep(instance, False)
     return HeuristicTable(kind=KIND_SUP, h=tuple(dist))
 
 
@@ -131,18 +129,20 @@ def sup_path(instance: Instance) -> PathResult:
     The cost is the exact-rounded sum over the path's edges, so it is the
     canonical lower-bound value to compare solver costs against.  The
     table depends on the edges alone, so it also serves every instance
-    that differs from this one only in its resources.
-    Raises ValueError when the goal is unreachable.
+    that differs from this one only in its resources.  When the goal is
+    unreachable the path is () and the cost +inf; the table is still the
+    sweep's (+inf at start).
     """
-    dist, next_hop = _reverse_dijkstra(instance)
+    dist, next_hop = _reverse_sweep(instance, False)
+    table = HeuristicTable(kind=KIND_SUP, h=tuple(dist))
     if dist[instance.start] == INF:
-        raise ValueError("goal unreachable from start")
+        return PathResult(path=(), cost=INF, table=table)
     path = [instance.start]
     while path[-1] != instance.goal:
         path.append(next_hop[path[-1]])
     path_t = tuple(path)
     return PathResult(path=path_t, cost=path_cost(instance, path_t),
-                      table=HeuristicTable(kind=KIND_SUP, h=tuple(dist)))
+                      table=table)
 
 
 def make_table(instance: Instance, kind: str) -> HeuristicTable:

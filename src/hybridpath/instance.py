@@ -280,12 +280,16 @@ def check_solution(instance: Instance, solution: Solution) -> Optional[str]:
 _NUMBER_TYPES = (int, float)
 
 
-def _number(value, key: str, where: str = "document"):
-    """``value`` when it is a JSON number; anything else (a boolean, a
-    string, null) raises FormatError rather than being coerced."""
+def _number(value, key: str, where: str = "document") -> float:
+    """``value`` as a float when it is a JSON number; anything else (a
+    boolean, a string, null) raises FormatError rather than being coerced,
+    and so does an integer too large for a float."""
     if type(value) not in _NUMBER_TYPES:
         raise FormatError(f"{where} field '{key}' must be a number")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError(f"{where} field '{key}' must be finite") from None
 
 
 def _integer(value, key: str, where: str = "document") -> int:
@@ -336,7 +340,8 @@ def _parse(data) -> dict:
         raise FormatError(f"invalid JSON: not UTF-8 text ({exc})") from exc
     except RecursionError:
         raise FormatError("invalid JSON: nested too deeply") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer longer than int() converts
         raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("document root must be an object")
@@ -353,8 +358,8 @@ def loads(data) -> Instance:
     """
     doc = _parse(data)
 
-    quantization = float(_number(doc.get("quantization", DEFAULT_QUANTIZATION),
-                                 "quantization"))
+    quantization = _number(doc.get("quantization", DEFAULT_QUANTIZATION),
+                           "quantization")
     if not (quantization > 0 and math.isfinite(quantization)):
         raise FormatError("field 'quantization' must be a positive number")
 
@@ -362,9 +367,8 @@ def loads(data) -> Instance:
     for i, coord in enumerate(_list(doc, "nodes")):
         if not isinstance(coord, list) or len(coord) not in (2, 3):
             raise FormatError(f"nodes[{i}] must be [x, y] or [x, y, z]")
-        if any(type(x) not in _NUMBER_TYPES for x in coord):
-            raise FormatError(f"nodes[{i}] coordinates must be numbers")
-        nodes.append(tuple(float(x) for x in coord))
+        nodes.append(tuple(_number(x, "coordinates", f"nodes[{i}]")
+                           for x in coord))
 
     max_err = 0.0
     edges: List[EdgeParams] = []
@@ -374,7 +378,7 @@ def loads(data) -> Instance:
             raise FormatError(f"{where} must be an object")
         u = _integer(_require(rec, "u", where), "u", where)
         v = _integer(_require(rec, "v", where), "v", where)
-        d = float(_number(_require(rec, "d", where), "d", where))
+        d = _number(_require(rec, "d", where), "d", where)
         c, err_c = _units(_require(rec, "c", where), quantization, "c", where)
         z, err_z = _units(_require(rec, "z", where), quantization, "z", where)
         max_err = max(max_err, err_c, err_z)
@@ -503,7 +507,7 @@ def solution_loads(data, instance: Instance) -> Solution:
     return Solution(
         path=tuple(_integer(n, "path") for n in _list(doc, "path")),
         gen=tuple(_boolean(g, "gen") for g in _list(doc, "gen")),
-        cost=float(_number(_require(doc, "cost"), "cost")),
+        cost=_number(_require(doc, "cost"), "cost"),
         battery=tuple(_units(b, q, "battery")[0]
                       for b in _list(doc, "battery")),
         fuel=tuple(_units(f, q, "fuel")[0] for f in _list(doc, "fuel")),

@@ -191,6 +191,11 @@ class TestGenerate:
         {"instances": {"id": "a"}},
         {"instances": [{"id": "a", "n_nodes": "9"}]},
         {"instances": [{"id": ["a"]}]},
+        {"instances": [{"id": "a", "seed": 1}]},
+        {"instances": [{"id": "a", "n_nodes": 9, "seed": 10 ** 400}]},
+        {"instances": [{"id": "a", "n_nodes": 9, "alpha": -10 ** 400}]},
+        {"defaults": {"dims": [10 ** 400, 3]},
+         "instances": [{"id": "a", "n_nodes": 9, "family": "lattice"}]},
     ])
     def test_malformed_manifest_one_line_error(self, tmp_path, capsys,
                                                manifest):
@@ -220,9 +225,22 @@ class TestGenerate:
         assert "wings" in capsys.readouterr().err
 
 
-# instance files that are not JSON, not UTF-8 text, and nested past the
-# parser's recursion limit
-BAD_FILES = (b"{ not json", b"\xff\xfe{}", b"[" * 100_000)
+def huge_cost_file():
+    """The five-node fixture with an edge cost too large for a float."""
+    doc = json.loads(Path(FIVE).read_text())
+    doc["edges"][0]["d"] = 10 ** 400
+    return json.dumps(doc).encode()
+
+
+# instance files that are not JSON, not UTF-8 text, nested past the
+# parser's recursion limit, and with a number too large for a float, each
+# with the start of the note it is flagged with
+BAD_FILES = (
+    (b"{ not json", "invalid JSON"),
+    (b"\xff\xfe{}", "invalid JSON"),
+    (b"[" * 100_000, "invalid JSON"),
+    (huge_cost_file(), "edges[0] field 'd' must be finite"),
+)
 
 
 def make_suite(tmp_path):
@@ -268,7 +286,7 @@ class TestBench:
         assert stable[0] == stable[1] == stable[2]
 
     def test_corrupt_file_flagged_run_continues(self, tmp_path, capsys):
-        for i, content in enumerate(BAD_FILES):
+        for i, (content, note) in enumerate(BAD_FILES):
             suite = make_suite(tmp_path / str(i))
             (suite / "broken.json").write_bytes(content)
             out = tmp_path / str(i) / "bench.csv"
@@ -277,7 +295,7 @@ class TestBench:
             flagged = [r for r in rows if r["status"] == "error"]
             assert len(flagged) == 1, content[:10]
             assert flagged[0]["id"] == "broken"
-            assert flagged[0]["note"].startswith("invalid JSON")
+            assert flagged[0]["note"].startswith(note)
             assert sum(1 for r in rows if r["status"] == "optimal") == 2
 
     def test_inadmissible_sld_rows_flagged(self, tmp_path, capsys):
@@ -294,18 +312,25 @@ class TestBench:
         assert rows["sld"]["cost"] == ""
         assert "inadmissible" in rows["sld"]["note"]
 
-    def test_one_sweep_per_instance(self, tmp_path, capsys, monkeypatch):
-        """bench and solve run one reverse Dijkstra per instance: the sweep
-        that gives sup_lower_bound is the sup rows' table."""
+    @staticmethod
+    def cost_sweeps(monkeypatch):
+        """The instances of every reverse Dijkstra over the cost ``d``
+        from now on; the solver's drain sweeps are not counted."""
         sweeps = []
-        sweep = hybridpath.heuristics._reverse_dijkstra
+        sweep = hybridpath.heuristics._reverse_sweep
 
-        def counted(instance):
-            sweeps.append(instance)
-            return sweep(instance)
+        def counted(instance, drain):
+            if not drain:
+                sweeps.append(instance)
+            return sweep(instance, drain)
 
-        monkeypatch.setattr(hybridpath.heuristics, "_reverse_dijkstra",
-                            counted)
+        monkeypatch.setattr(hybridpath.heuristics, "_reverse_sweep", counted)
+        return sweeps
+
+    def test_one_sweep_per_instance(self, tmp_path, capsys, monkeypatch):
+        """bench, solve and verify run one cost sweep per instance: the
+        sweep that gives sup_lower_bound is the sup rows' table."""
+        sweeps = self.cost_sweeps(monkeypatch)
         suite = make_suite(tmp_path)
         out = tmp_path / "bench.csv"
         assert main(["bench", str(suite), "--out", str(out),
@@ -321,14 +346,23 @@ class TestBench:
             assert main(["solve", FIVE, "--heuristic", heuristic,
                          "--out", str(tmp_path / "x.json")]) == 0
             assert len(sweeps) == 1, heuristic
+        sweeps.clear()
+        assert main(["verify", str(suite)]) == 0
+        assert len(sweeps) == 2
 
-    def test_unreachable_goal_rows(self, tmp_path, capsys):
+    @staticmethod
+    def cut_suite(tmp_path):
+        """A suite of one instance whose goal is unreachable from start."""
         suite = tmp_path / "suite"
         suite.mkdir()
         save(Instance(nodes=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
                       edges=(EdgeParams(1, 2, 1.0, 0, 0),),
                       start=0, goal=2, b0=5, bmin=0, bmax=5, q0=3, v=0,
                       quantization=1.0), suite / "cut.json")
+        return suite
+
+    def test_unreachable_goal_rows(self, tmp_path, capsys):
+        suite = self.cut_suite(tmp_path)
         out = tmp_path / "bench.csv"
         assert main(["bench", str(suite), "--out", str(out),
                      "--selection", "label,node",
@@ -345,6 +379,21 @@ class TestBench:
         report = stats_line(capsys)
         assert report["status"] == "infeasible"
         assert "sup_lower_bound" not in report
+        assert main(["verify", str(suite)]) == 0
+        assert "cut: ok (infeasible)" in capsys.readouterr().out
+
+    def test_unreachable_goal_one_sweep(self, tmp_path, capsys, monkeypatch):
+        """An unreachable goal is read from the one sweep's result; no
+        second sweep builds the sup rows' table."""
+        sweeps = self.cost_sweeps(monkeypatch)
+        suite = self.cut_suite(tmp_path)
+        assert main(["bench", str(suite), "--out", str(tmp_path / "b.csv"),
+                     "--heuristic", "sup,zero"]) == 0
+        assert len(sweeps) == 1
+        sweeps.clear()
+        assert main(["solve", str(suite / "cut.json"),
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert len(sweeps) == 1
 
     def test_aggregate_output(self, tmp_path, capsys):
         suite = make_suite(tmp_path)
@@ -400,7 +449,7 @@ class TestBench:
     def test_bad_run_flags_fail_before_any_file(self, tmp_path, capsys,
                                                 flags):
         suite = make_suite(tmp_path)
-        (suite / "broken.json").write_bytes(BAD_FILES[0])
+        (suite / "broken.json").write_bytes(BAD_FILES[0][0])
         out = tmp_path / "bench.csv"
         assert main(["bench", str(suite), "--out", str(out), *flags]) == 1
         captured = capsys.readouterr()
@@ -428,7 +477,7 @@ class TestVerify:
         assert "3/3 matched, 0 skipped" in out
 
     def test_unreadable_file_reported_run_continues(self, tmp_path, capsys):
-        for i, content in enumerate(BAD_FILES):
+        for i, (content, note) in enumerate(BAD_FILES):
             suite = tmp_path / str(i)
             suite.mkdir()
             shutil.copy(FIVE, suite / "a.json")
@@ -437,7 +486,7 @@ class TestVerify:
             assert main(["verify", str(suite)]) == 1
             out = capsys.readouterr().out.splitlines()
             assert out[0].startswith(f"a: ok ({FIVE_NODE_COST!r})")
-            assert out[1].startswith("b: error (invalid JSON"), content[:10]
+            assert out[1].startswith(f"b: error ({note}"), content[:10]
             assert out[2].startswith(f"c: ok ({FIVE_NODE_COST!r})")
             assert out[3] == "2/2 matched, 0 skipped, 1 unreadable"
 

@@ -399,6 +399,10 @@ class TestGenSpec:
         with pytest.raises(ValueError, match="warp_drive"):
             GenSpec.from_dict(doc)
 
+    def test_missing_n_nodes_named(self):
+        with pytest.raises(ValueError, match="n_nodes"):
+            GenSpec.from_dict({"seed": 1})
+
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             GenSpec(n_nodes=1)
@@ -418,6 +422,8 @@ class TestGenSpec:
         dict(seed="x"), dict(b_frac="0.3"), dict(alpha=math.nan),
         dict(noise_target=None), dict(zone_count_range=3),
         dict(zone_side_range=(0.1,)), dict(dims=5), dict(dims=(2.5, 4)),
+        dict(seed=10 ** 400), dict(alpha=10 ** 400),
+        dict(n_nodes=-10 ** 400), dict(zone_count_range=(3, 10 ** 400)),
     ])
     def test_wrong_types_rejected(self, field):
         doc = {"n_nodes": 12, **field}

@@ -114,13 +114,15 @@ class TestSupPath:
         for inst in (line_graph(), euclid, lattice):
             assert sup_path(inst).table == sup_table(inst)
 
-    def test_no_route_raises(self):
+    def test_no_route_is_empty_path(self):
         inst = Instance(nodes=((0.0, 0.0), (1.0, 0.0)),
                         edges=(EdgeParams(1, 0, 1.0, 0, 0),),
                         start=0, goal=1, b0=1, bmin=0, bmax=1, q0=0, v=0,
                         quantization=1.0)
-        with pytest.raises(ValueError, match="unreachable"):
-            sup_path(inst)
+        result = sup_path(inst)
+        assert result.path == ()
+        assert result.cost == math.inf
+        assert result.table == sup_table(inst)
 
     def test_lower_bounds_oracle(self):
         from hybridpath.verify import oracle_solve

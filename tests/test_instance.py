@@ -27,6 +27,8 @@ def small(edges, **kw):
 
 LINE = (EdgeParams(0, 1, 1.0, 1, 1), EdgeParams(1, 2, 1.0, 1, 1))
 
+HUGE = 10 ** 400  # a JSON integer too large for a float
+
 
 class TestValidate:
     def test_ok_line(self):
@@ -202,6 +204,10 @@ class TestFileFormat:
         ("doc", "start", False),
         ("doc", "b0", True),
         ("doc", "quantization", None),
+        pytest.param("edge", "d", HUGE, id="edge-d-huge"),
+        pytest.param("edge", "c", -HUGE, id="edge-c-huge"),
+        pytest.param("doc", "quantization", HUGE, id="doc-quantization-huge"),
+        pytest.param("doc", "q0", HUGE, id="doc-q0-huge"),
     ])
     def test_no_silent_coercion(self, where, key, value):
         doc = json.loads((FIXTURES / "five_node.json").read_text())
@@ -214,6 +220,20 @@ class TestFileFormat:
         doc["nodes"][1] = [0.0, None]
         with pytest.raises(FormatError, match="nodes\\[1\\]"):
             loads(json.dumps(doc))
+
+    def test_node_coordinate_too_large_for_a_float(self):
+        doc = json.loads((FIXTURES / "five_node.json").read_text())
+        doc["nodes"][1] = [0.0, -HUGE]
+        with pytest.raises(FormatError, match="nodes\\[1\\].* must be finite"):
+            loads(json.dumps(doc))
+
+    def test_integer_too_long_to_parse(self):
+        # past int()'s digit limit json.loads raises a bare ValueError;
+        # without the limit the number is too large for a float
+        doc = (FIXTURES / "five_node.json").read_text()
+        doc = doc.replace('"b0":', '"b0": 1' + "0" * 5000 + ', "x":', 1)
+        with pytest.raises(FormatError):
+            loads(doc)
 
     @pytest.mark.parametrize("key, value, kind", [
         ("nodes", None, "list"), ("edges", 5, "list"),
@@ -293,6 +313,7 @@ class TestSolutionFormat:
         ("cost", "4.2"), ("cost", True), ("cost", None),
         ("path", 5), ("gen", "ft"), ("battery", {"0": 6.0}), ("fuel", 7.0),
         (None, [0, 3, 4]),
+        pytest.param("cost", HUGE, id="cost-huge"),
     ])
     def test_no_silent_coercion(self, five_node, key, value):
         # key None replaces the whole document
